@@ -19,7 +19,7 @@ from pathlib import Path
 from . import dataset as ds_mod
 from . import eval as eval_mod
 from . import metaselect
-from .features import SCHEMAS, extract, feature_names
+from .features import SCHEMAS, TIMESTEP_ENCODINGS, extract, feature_names
 from .grid import DEFAULT_COUNT, DEFAULT_HORIZON, DEFAULT_T_MIN, make_grid
 from .learners import FAMILIES, INVERSE_FREQUENCY, MODES, TrainedModel, train_model
 from .opb import OpbParseError, parse_opb_file, serialize
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-dataset", help="label an archive into a dataset CSV")
     p.add_argument("--archive", required=True)
     p.add_argument("--schema", choices=sorted(SCHEMAS), default="nonlinear")
-    p.add_argument("--timestep-encoding", choices=("index", "seconds"), default="index")
+    p.add_argument("--timestep-encoding", choices=TIMESTEP_ENCODINGS, default="index")
     p.add_argument("--out", required=True)
     _portfolio_arg(p)
     p.set_defaults(fn=cmd_build_dataset)

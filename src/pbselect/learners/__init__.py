@@ -13,17 +13,10 @@ from .model_io import (
     mdi_importance,
 )
 from .train import DEFAULT_HYPERPARAMS, hyperparams_for, train_model
-from .tree import (
-    ClassificationTree,
-    RegressionTree,
-    gini_impurity,
-    grow_classification_tree,
-    grow_regression_tree,
-)
+from .tree import TreeEnsemble, gini_impurity
 from .weights import INVERSE_FREQUENCY, MODES, UNIFORM, class_weights
 
 __all__ = [
-    "ClassificationTree",
     "DEFAULT_HYPERPARAMS",
     "FAMILIES",
     "ForestModel",
@@ -34,18 +27,16 @@ __all__ = [
     "KnnModel",
     "MODES",
     "RF",
-    "RegressionTree",
     "SchemaMismatchError",
     "SingleClassError",
     "TrainedModel",
+    "TreeEnsemble",
     "UNIFORM",
     "class_weights",
     "fit_gradient_boosting",
     "fit_knn",
     "fit_random_forest",
     "gini_impurity",
-    "grow_classification_tree",
-    "grow_regression_tree",
     "hyperparams_for",
     "mdi_importance",
     "softmax",

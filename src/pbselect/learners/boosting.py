@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import tree_rng
-from .tree import RegressionTree, grow_regression_tree
+from .tree import EnsembleBuilder, Sse, TreeEnsemble
 
 _PRIOR_FLOOR = 1e-12
 
@@ -33,7 +33,7 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 @dataclass
 class GradientBoostingModel:
     init_scores: list[float]
-    stages: list[list[RegressionTree]]  # one regression tree per class per stage
+    trees: TreeEnsemble  # stage-major, one regression tree per class per stage
     n_features: int
     n_classes: int
     n_estimators: int
@@ -44,36 +44,22 @@ class GradientBoostingModel:
     class_weight: list[float] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list, repr=False)
 
+    def _scores(self, values: np.ndarray) -> np.ndarray:
+        # (stage, class, row) terms after the initial scores, summed in stage order
+        n_rows = values.shape[1]
+        terms = np.empty((self.n_estimators + 1, self.n_classes, n_rows))
+        terms[0] = np.asarray(self.init_scores)[:, None]
+        terms[1:] = self.learning_rate * values.reshape(self.n_estimators, self.n_classes, n_rows)
+        return terms.sum(axis=0).T
+
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        scores = np.tile(np.asarray(self.init_scores), (len(X), 1))
-        for stage in self.stages:
-            for c, tree in enumerate(stage):
-                scores[:, c] += self.learning_rate * tree.predict_batch(X)
-        return scores
+        return self.trees.apply(X, self._scores)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.decision_scores(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
-
-    def predict_one(self, values) -> tuple[int, list[float]]:
-        scores = list(self.init_scores)
-        for stage in self.stages:
-            for c, tree in enumerate(stage):
-                scores[c] += self.learning_rate * tree.predict_one(values)
-        m = max(scores)
-        exps = [float(np.exp(s - m)) for s in scores]
-        total = sum(exps)
-        probs = [e / total for e in exps]
-        best = 0
-        for c in range(1, self.n_classes):
-            if probs[c] > probs[best]:
-                best = c
-        return best, probs
-
-    def raw_importances_per_tree(self) -> np.ndarray:
-        return np.stack([t.raw_importances for stage in self.stages for t in stage])
 
     def to_dict(self) -> dict:
         return {
@@ -86,18 +72,14 @@ class GradientBoostingModel:
             "max_features": self.max_features,
             "seed": self.seed,
             "class_weight": self.class_weight,
-            "stages": [[t.to_dict() for t in stage] for stage in self.stages],
+            "trees": self.trees.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradientBoostingModel":
-        stages = [
-            [RegressionTree.from_dict(t, data["n_features"]) for t in stage]
-            for stage in data["stages"]
-        ]
         return cls(
             init_scores=list(data["init_scores"]),
-            stages=stages,
+            trees=TreeEnsemble.from_dict(data["trees"], 1, data["n_features"]),
             n_features=data["n_features"],
             n_classes=data["n_classes"],
             n_estimators=data["n_estimators"],
@@ -143,33 +125,32 @@ def fit_gradient_boosting(
 
     scores = np.tile(init_scores, (n, 1))
     losses = [_weighted_cross_entropy(softmax(scores), y, w)]
-    stages: list[list[RegressionTree]] = []
+    builder = EnsembleBuilder(X.shape[1], 1)
     newton_scale = (n_classes - 1) / n_classes
     for m in range(n_estimators):
         probs = softmax(scores)
-        stage: list[RegressionTree] = []
         for c in range(n_classes):
             residual = onehot[:, c] - probs[:, c]
             rng = tree_rng(seed, m, c)
-            tree, leaf_of = grow_regression_tree(
-                X, residual, w, rng, max_depth=max_depth, max_features=max_features
+            leaf_of = builder.grow(
+                X, Sse(residual, w), rng, max_depth=max_depth, max_features=max_features
             )
+            root = builder.roots[-1]
+            leaf_of -= root
             # one Newton step per leaf
-            values = np.zeros(len(tree.leaf_value))
+            values = np.zeros(len(builder.feature) - root)
             num = np.bincount(leaf_of, weights=w * residual, minlength=len(values))
             hess = np.abs(residual) * (1.0 - np.abs(residual))
             den = np.bincount(leaf_of, weights=w * hess, minlength=len(values))
             nz = den > 1e-150
             values[nz] = newton_scale * num[nz] / den[nz]
-            tree.leaf_value = values.tolist()
+            builder.values[root:] = values[:, None].tolist()
             scores[:, c] += learning_rate * values[leaf_of]
-            stage.append(tree)
-        stages.append(stage)
         losses.append(_weighted_cross_entropy(softmax(scores), y, w))
 
     return GradientBoostingModel(
         init_scores=init_scores.tolist(),
-        stages=stages,
+        trees=builder.build(),
         n_features=X.shape[1],
         n_classes=n_classes,
         n_estimators=n_estimators,

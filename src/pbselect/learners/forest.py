@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import ClassificationTree, grow_classification_tree
+from .tree import EnsembleBuilder, Gini, TreeEnsemble
 
 
 def tree_rng(seed: int, *index: int) -> np.random.Generator:
@@ -16,43 +16,20 @@ def tree_rng(seed: int, *index: int) -> np.random.Generator:
 
 @dataclass
 class ForestModel:
-    trees: list[ClassificationTree]
+    trees: TreeEnsemble  # leaf values are class distributions
     n_features: int
     n_classes: int
     n_estimators: int
     max_features: str = "sqrt"
-    criterion: str = "gini"
     seed: int = 0
     class_weight: list[float] = field(default_factory=list)
 
-    def predict_proba_one(self, values) -> list[float]:
-        acc = [0.0] * self.n_classes
-        for tree in self.trees:
-            dist = tree.predict_dist_one(values)
-            for c in range(self.n_classes):
-                acc[c] += dist[c]
-        n = len(self.trees)
-        return [v / n for v in acc]
-
-    def predict_one(self, values) -> tuple[int, list[float]]:
-        probs = self.predict_proba_one(values)
-        best = 0
-        for c in range(1, self.n_classes):
-            if probs[c] > probs[best]:
-                best = c
-        return best, probs
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros((len(X), self.n_classes))
-        for tree in self.trees:
-            acc += tree.predict_dist_batch(X)
-        return acc / len(self.trees)
+        n_trees = len(self.trees.roots)
+        return self.trees.apply(X, lambda dist: dist.sum(axis=0) / n_trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
-
-    def raw_importances_per_tree(self) -> np.ndarray:
-        return np.stack([t.raw_importances for t in self.trees])
 
     def to_dict(self) -> dict:
         return {
@@ -60,25 +37,19 @@ class ForestModel:
             "n_classes": self.n_classes,
             "n_estimators": self.n_estimators,
             "max_features": self.max_features,
-            "criterion": self.criterion,
             "seed": self.seed,
             "class_weight": self.class_weight,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ForestModel":
-        trees = [
-            ClassificationTree.from_dict(t, data["n_features"], data["n_classes"])
-            for t in data["trees"]
-        ]
         return cls(
-            trees=trees,
+            trees=TreeEnsemble.from_dict(data["trees"], data["n_classes"], data["n_features"]),
             n_features=data["n_features"],
             n_classes=data["n_classes"],
             n_estimators=data["n_estimators"],
             max_features=data["max_features"],
-            criterion=data["criterion"],
             seed=data["seed"],
             class_weight=list(data["class_weight"]),
         )
@@ -112,19 +83,17 @@ def fit_random_forest(
         raise ValueError("class_weight length must equal the number of classes")
 
     n = len(X)
-    trees = []
+    builder = EnsembleBuilder(X.shape[1], n_classes)
     for i in range(n_estimators):
         rng = tree_rng(seed, i)
         idx = rng.integers(0, n, size=n)
         Xb, yb = X[idx], y[idx]
-        trees.append(
-            grow_classification_tree(
-                Xb, yb, class_weight[yb], n_classes, rng,
-                max_depth=max_depth, max_features=max_features,
-            )
+        builder.grow(
+            Xb, Gini(yb, class_weight[yb], n_classes), rng,
+            max_depth=max_depth, max_features=max_features,
         )
     return ForestModel(
-        trees=trees,
+        trees=builder.build(),
         n_features=X.shape[1],
         n_classes=n_classes,
         n_estimators=n_estimators,

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# (queries x training rows x features) cells of one chunk's differences
+_CHUNK_CELLS = 1 << 16
+
 
 @dataclass
 class KnnModel:
@@ -20,27 +23,23 @@ class KnnModel:
     def _transform(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean) / self.std if self.standardize else X
 
-    def _vote(self, distances: np.ndarray) -> tuple[int, list[float]]:
-        # stable sort keeps the earlier-indexed row on distance ties
-        nearest = np.argsort(distances, kind="stable")[: self.k]
-        counts = np.bincount(self.y[nearest], minlength=self.n_classes)
-        votes = counts / self.k
-        best = 0
-        for c in range(1, self.n_classes):
-            if votes[c] > votes[best]:
-                best = c
-        return best, votes.tolist()
-
-    def predict_one(self, values) -> tuple[int, list[float]]:
-        q = self._transform(np.asarray(values, dtype=np.float64))
-        distances = np.sqrt(((self.X - q) ** 2).sum(axis=1))
-        return self._vote(distances)
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Vote shares of the k nearest training rows, a chunk of queries at a time."""
+        Q = self._transform(np.asarray(X, dtype=np.float64))
+        chunk = max(1, _CHUNK_CELLS // self.X.size)
+        parts = []
+        for start in range(0, max(len(Q), 1), chunk):
+            q = Q[start:start + chunk]
+            distances = np.sqrt(((self.X[None, :, :] - q[:, None, :]) ** 2).sum(axis=2))
+            # stable sort keeps the earlier-indexed row on distance ties
+            nearest = np.argsort(distances, axis=1, kind="stable")[:, : self.k]
+            votes = self.y[nearest][:, :, None] == np.arange(self.n_classes)
+            parts.append(votes.sum(axis=1) / self.k)
+        return np.concatenate(parts)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row)[0] for row in np.asarray(X, dtype=np.float64)])
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row)[1] for row in np.asarray(X, dtype=np.float64)])
+        # argmax takes the lowest class index on a vote tie
+        return np.argmax(self.predict_proba(X), axis=1)
 
     def to_dict(self) -> dict:
         return {

@@ -2,10 +2,16 @@
 
 The saved file is a JSON document holding the feature schema, the label
 vocabulary, the hyperparameters (including the timestep grid the model was
-trained against) and the full model structure.  Loading a file with a
-different format name or version is an error.  Wall-clock timings gathered
-during training stay in memory only, so two fits with the same seed write
-byte-identical files.
+trained against) and the full model structure.  In format 2 a tree model
+stores its whole ensemble as one flat node table under ``model.trees``
+(``feature``, ``threshold``, ``left``, ``right`` and ``roots`` per node or
+tree, ``leaf_values`` for the leaves only, in node order, and one row of
+``raw_importances`` per tree); KNN stores its standardized training rows.
+Loading a file with a different format name or version is an error:
+format 1, which stored one node list per tree, is no longer read, so its
+models must be trained again.  Wall-clock timings gathered during training
+stay in memory only, so two fits with the same seed write byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .forest import ForestModel
 from .knn import KnnModel
 
 FORMAT_NAME = "pbselect-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 RF = "rf"
 GB = "gb"
@@ -69,9 +75,11 @@ class TrainedModel:
         return self.predict_values(fv.full())
 
     def predict_values(self, values) -> tuple[str, dict[str, float]]:
-        self._check_width(len(values))
-        idx, probs = self.model.predict_one(values)
-        return self.vocabulary[idx], dict(zip(self.vocabulary, probs))
+        """Predict one row through the batch path: a one-row matrix."""
+        X = np.asarray(values, dtype=np.float64).reshape(1, -1)
+        self._check_width(X.shape[1])
+        probs = self.model.predict_proba(X)[0]
+        return self.vocabulary[int(np.argmax(probs))], dict(zip(self.vocabulary, probs.tolist()))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -123,31 +131,11 @@ class TrainedModel:
             mdi=data["mdi"],
         )
 
-    def describe(self) -> str:
-        """Human-readable parameter block plus the MDI table as CSV."""
-        lines = [
-            f"family: {self.family}",
-            f"schema: {self.schema}",
-            f"timestep encoding: {self.encoding}",
-            f"seed: {self.seed}",
-            "vocabulary: " + ",".join(self.vocabulary),
-        ]
-        for key in sorted(self.params):
-            lines.append(f"{key}: {self.params[key]}")
-        if self.mdi is not None:
-            from ..features import feature_names
-
-            lines.append("")
-            lines.append("feature,mdi_importance")
-            for name, value in zip(feature_names(self.schema), self.mdi):
-                lines.append(f"{name},{value!r}")
-        return "\n".join(lines) + "\n"
-
 
 def mdi_importance(model: ForestModel | GradientBoostingModel) -> np.ndarray:
     """Mean decrease in impurity: per-tree weighted impurity decreases summed
     per split feature, averaged across trees, normalized to sum to one."""
-    per_tree = model.raw_importances_per_tree()
+    per_tree = model.trees.raw_importances
     avg = per_tree.mean(axis=0)
     total = avg.sum()
     return avg / total if total > 0 else avg

@@ -2,7 +2,7 @@
 
 Default hyperparameters per (family, schema) variant:
 
-    rf   (all schemas)  n_estimators=100, max_features="sqrt", criterion="gini"
+    rf   (all schemas)  n_estimators=100, max_features="sqrt"
     gb   basic          n_estimators=100, learning_rate=0.5,  max_depth=3, max_features="sqrt"
     gb   nonlinear      n_estimators=100, learning_rate=0.25, max_depth=3, max_features="sqrt"
     gb   linear         n_estimators=100, learning_rate=0.1,  max_depth=3, max_features="sqrt"
@@ -22,7 +22,7 @@ from .knn import fit_knn
 from .model_io import GB, KNN, RF, TrainedModel, mdi_importance
 from .weights import INVERSE_FREQUENCY, class_weights
 
-_RF_DEFAULTS = {"n_estimators": 100, "max_features": "sqrt", "criterion": "gini"}
+_RF_DEFAULTS = {"n_estimators": 100, "max_features": "sqrt"}
 
 DEFAULT_HYPERPARAMS: dict[tuple[str, str], dict] = {
     (RF, "basic"): dict(_RF_DEFAULTS),

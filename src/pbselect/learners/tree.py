@@ -1,13 +1,22 @@
-"""CART decision trees grown from scratch on numpy arrays.
+"""CART trees grown from scratch on numpy, kept one flat table per ensemble.
 
-Both tree kinds share the same growth loop: at every node a seeded sample
-of ceil(sqrt(d)) candidate features is scanned, thresholds sit at midpoints
+Every tree grows by the same loop: at every node a seeded sample of
+ceil(sqrt(d)) candidate features is scanned, thresholds sit at midpoints
 of consecutive distinct sorted values, rows go left when ``x <= threshold``,
 and a node becomes a leaf when it is pure, the depth cap is hit, or no
-candidate split has positive gain.  Classification trees maximize weighted
-Gini impurity decrease; regression trees maximize weighted variance
-(sum-of-squares) decrease.  Every accepted split adds its weighted
-impurity decrease to a per-feature ledger, which feeds MDI importances.
+candidate split has positive gain.  Classification trees (:class:`Gini`)
+maximize weighted Gini impurity decrease; regression trees (:class:`Sse`)
+maximize weighted variance (sum-of-squares) decrease.  Every accepted split
+adds its weighted impurity decrease to its tree's per-feature ledger, which
+feeds MDI importances.
+
+A fitted ensemble is one :class:`TreeEnsemble`: node arrays holding every
+tree, where node i sends a row to ``left[i]`` when ``x[feature[i]] <=
+threshold[i]`` and to ``right[i]`` otherwise.  A leaf has feature -1 and
+both children equal to itself, so ``depth`` steps from ``roots`` bring a
+row to its leaf in every tree at once.  ``values`` has one row per node:
+the class distribution for a forest, a single column for boosting, zeros
+at internal nodes.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _GAIN_EPS = 1e-12
+# (trees x rows) cells descended together: a chunk's gathers stay a few MB
+_CHUNK_CELLS = 1 << 14
 
 
 def sample_features(rng: np.random.Generator, n_features: int, max_features) -> np.ndarray:
@@ -86,253 +97,200 @@ def _best_threshold_sse(x: np.ndarray, w: np.ndarray, t: np.ndarray):
     return float(sse[k]), threshold
 
 
-@dataclass
-class _NodeArrays:
-    """Flat tree storage; feature[i] == -1 marks a leaf."""
+class Gini:
+    """Classification criterion: the key of a split is its Gini score."""
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
+    def __init__(self, y: np.ndarray, w: np.ndarray, n_classes: int):
+        self.onehot = np.zeros((len(y), n_classes))
+        self.onehot[np.arange(len(y)), y] = w
 
-    def new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        return len(self.feature) - 1
-
-    def descend(self, values) -> int:
-        i = 0
-        feature, threshold = self.feature, self.threshold
-        left, right = self.left, self.right
-        while feature[i] >= 0:
-            i = left[i] if values[feature[i]] <= threshold[i] else right[i]
-        return i
-
-    def descend_batch(self, X: np.ndarray) -> np.ndarray:
-        feature = np.asarray(self.feature, dtype=np.intp)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left, dtype=np.intp)
-        right = np.asarray(self.right, dtype=np.intp)
-        cur = np.zeros(len(X), dtype=np.intp)
-        while True:
-            f = feature[cur]
-            live = np.nonzero(f >= 0)[0]
-            if live.size == 0:
-                return cur
-            at = cur[live]
-            go_left = X[live, f[live]] <= threshold[at]
-            cur[live] = np.where(go_left, left[at], right[at])
-
-
-class ClassificationTree:
-    """Gini-criterion CART classifier storing leaf class distributions."""
-
-    def __init__(self, n_features: int, n_classes: int):
-        self.n_features = n_features
-        self.n_classes = n_classes
-        self.nodes = _NodeArrays()
-        self.leaf_dist: list[list[float] | None] = []
-        self.raw_importances = np.zeros(n_features)
-        self._dist_matrix: np.ndarray | None = None
-
-    def _add_node(self) -> int:
-        node = self.nodes.new_node()
-        self.leaf_dist.append(None)
-        return node
-
-    def predict_dist_one(self, values) -> list[float]:
-        return self.leaf_dist[self.nodes.descend(values)]
-
-    def predict_dist_batch(self, X: np.ndarray) -> np.ndarray:
-        if self._dist_matrix is None:
-            m = np.zeros((len(self.leaf_dist), self.n_classes))
-            for i, dist in enumerate(self.leaf_dist):
-                if dist is not None:
-                    m[i] = dist
-            self._dist_matrix = m
-        return self._dist_matrix[self.nodes.descend_batch(X)]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.nodes.feature,
-            "threshold": self.nodes.threshold,
-            "left": self.nodes.left,
-            "right": self.nodes.right,
-            "leaf_dist": self.leaf_dist,
-            "raw_importances": self.raw_importances.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, n_features: int, n_classes: int) -> "ClassificationTree":
-        tree = cls(n_features, n_classes)
-        tree.nodes = _NodeArrays(
-            feature=list(data["feature"]),
-            threshold=list(data["threshold"]),
-            left=list(data["left"]),
-            right=list(data["right"]),
-        )
-        tree.leaf_dist = [None if d is None else list(d) for d in data["leaf_dist"]]
-        tree.raw_importances = np.array(data["raw_importances"])
-        return tree
-
-
-def grow_classification_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    n_classes: int,
-    rng: np.random.Generator,
-    max_depth: int | None = None,
-    max_features="sqrt",
-) -> ClassificationTree:
-    if len(X) == 0:
-        raise ValueError("cannot fit a tree on an empty sample")
-    n, d = X.shape
-    tree = ClassificationTree(d, n_classes)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = w
-
-    root = tree._add_node()
-    stack = [(np.arange(n), 0, root)]
-    while stack:
-        idx, depth, node = stack.pop()
-        cw = onehot[idx].sum(axis=0)
+    def node(self, idx: np.ndarray):
+        """(key unsplit, whether to try splits, leaf value, per-feature scan)."""
+        rows = self.onehot[idx]
+        cw = rows.sum(axis=0)
         total = cw.sum()
-        present = int((cw > 0).sum())
-        depth_ok = max_depth is None or depth < max_depth
-        best = None
-        if present > 1 and depth_ok and idx.size >= 2:
-            parent_score = float((cw * cw).sum()) / total
-            for f in sample_features(rng, d, max_features):
-                col = X[idx, f]
-                if col.min() == col.max():
-                    continue
-                found = _best_threshold_gini(col, onehot[idx])
-                if found is None:
-                    continue
-                score, threshold = found
-                if best is None or score > best[0]:
-                    best = (score, int(f), threshold)
-            if best is not None and best[0] - parent_score <= _GAIN_EPS:
-                best = None
-        if best is None:
-            tree.leaf_dist[node] = (cw / total).tolist()
-            continue
-        score, f, threshold = best
-        # weighted Gini decrease: W*g_parent - (W_L*g_L + W_R*g_R)
-        tree.raw_importances[f] += score - float((cw * cw).sum()) / total
-        go_left = X[idx, f] <= threshold
-        tree.nodes.feature[node] = f
-        tree.nodes.threshold[node] = threshold
-        left = tree._add_node()
-        right = tree._add_node()
-        tree.nodes.left[node] = left
-        tree.nodes.right[node] = right
-        stack.append((idx[~go_left], depth + 1, right))
-        stack.append((idx[go_left], depth + 1, left))
-    return tree
-
-
-class RegressionTree:
-    """Variance-reduction CART regressor; leaf values are set by the caller."""
-
-    def __init__(self, n_features: int):
-        self.n_features = n_features
-        self.nodes = _NodeArrays()
-        self.leaf_value: list[float] = []
-        self.raw_importances = np.zeros(n_features)
-        self._value_array: np.ndarray | None = None
-
-    def _add_node(self) -> int:
-        node = self.nodes.new_node()
-        self.leaf_value.append(0.0)
-        return node
-
-    def predict_one(self, values) -> float:
-        return self.leaf_value[self.nodes.descend(values)]
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        if self._value_array is None:
-            self._value_array = np.asarray(self.leaf_value)
-        return self._value_array[self.nodes.descend_batch(X)]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.nodes.feature,
-            "threshold": self.nodes.threshold,
-            "left": self.nodes.left,
-            "right": self.nodes.right,
-            "leaf_value": self.leaf_value,
-            "raw_importances": self.raw_importances.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, n_features: int) -> "RegressionTree":
-        tree = cls(n_features)
-        tree.nodes = _NodeArrays(
-            feature=list(data["feature"]),
-            threshold=list(data["threshold"]),
-            left=list(data["left"]),
-            right=list(data["right"]),
+        return (
+            float((cw * cw).sum()) / total,
+            int((cw > 0).sum()) > 1,
+            (cw / total).tolist(),
+            lambda col: _best_threshold_gini(col, rows),
         )
-        tree.leaf_value = list(data["leaf_value"])
-        tree.raw_importances = np.array(data["raw_importances"])
-        return tree
 
 
-def grow_regression_tree(
-    X: np.ndarray,
-    targets: np.ndarray,
-    w: np.ndarray,
-    rng: np.random.Generator,
-    max_depth: int | None = 3,
-    max_features="sqrt",
-) -> tuple[RegressionTree, np.ndarray]:
-    """Grow the tree and return it with each training row's leaf id."""
-    if len(X) == 0:
-        raise ValueError("cannot fit a tree on an empty sample")
-    n, d = X.shape
-    tree = RegressionTree(d)
-    assignment = np.zeros(n, dtype=np.intp)
+class Sse:
+    """Regression criterion: the key of a split is minus its weighted SSE.
 
-    root = tree._add_node()
-    stack = [(np.arange(n), 0, root)]
-    while stack:
-        idx, depth, node = stack.pop()
-        wi = w[idx]
-        ti = targets[idx]
+    Leaf values stay zero; the caller sets them from the returned leaf of
+    each row.
+    """
+
+    def __init__(self, targets: np.ndarray, w: np.ndarray):
+        self.targets = targets
+        self.w = w
+
+    def node(self, idx: np.ndarray):
+        wi = self.w[idx]
+        ti = self.targets[idx]
         wt = float(wi.sum())
         mean = float((wi * ti).sum()) / wt
         parent_sse = float((wi * (ti - mean) ** 2).sum())
-        depth_ok = max_depth is None or depth < max_depth
-        best = None
-        if depth_ok and idx.size >= 2 and parent_sse > _GAIN_EPS:
-            for f in sample_features(rng, d, max_features):
-                col = X[idx, f]
-                if col.min() == col.max():
-                    continue
-                found = _best_threshold_sse(col, wi, ti)
-                if found is None:
-                    continue
-                sse, threshold = found
-                if best is None or sse < best[0]:
-                    best = (sse, int(f), threshold)
-            if best is not None and parent_sse - best[0] <= _GAIN_EPS:
-                best = None
-        if best is None:
-            assignment[idx] = node
-            continue
-        sse, f, threshold = best
-        tree.raw_importances[f] += parent_sse - sse
-        go_left = X[idx, f] <= threshold
-        tree.nodes.feature[node] = f
-        tree.nodes.threshold[node] = threshold
-        left = tree._add_node()
-        right = tree._add_node()
-        tree.nodes.left[node] = left
-        tree.nodes.right[node] = right
-        stack.append((idx[~go_left], depth + 1, right))
-        stack.append((idx[go_left], depth + 1, left))
-    return tree, assignment
+
+        def scan(col):
+            found = _best_threshold_sse(col, wi, ti)
+            return None if found is None else (-found[0], found[1])
+
+        return -parent_sse, parent_sse > _GAIN_EPS, None, scan
+
+
+@dataclass
+class TreeEnsemble:
+    """Every tree of a fitted ensemble in one flat node table."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+    values: np.ndarray  # (nodes, width)
+    raw_importances: np.ndarray  # (trees, features)
+    depth: int = field(init=False)
+
+    def __post_init__(self):
+        self.depth = 0
+        level = self.roots[self.feature[self.roots] >= 0]
+        while level.size:
+            self.depth += 1
+            level = np.concatenate([self.left[level], self.right[level]])
+            level = level[self.feature[level] >= 0]
+
+    def apply(self, X: np.ndarray, combine) -> np.ndarray:
+        """Descend every tree for every row of ``X``, a chunk of rows at a time.
+
+        ``combine`` maps a chunk's (trees, rows, width) leaf values to its
+        (rows, k) outputs, which are stacked in row order.
+        """
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        n, d = X.shape
+        flat = X.ravel()
+        chunk = max(1, _CHUNK_CELLS // max(1, len(self.roots)))
+        parts = []
+        for start in range(0, max(n, 1), chunk):
+            offset = np.arange(start, min(start + chunk, n)) * d
+            node = np.repeat(self.roots[:, None], offset.size, axis=1)
+            for _ in range(self.depth):
+                go_left = flat.take(offset + self.feature.take(node)) <= self.threshold.take(node)
+                node = np.where(go_left, self.left.take(node), self.right.take(node))
+            parts.append(combine(self.values[node]))
+        return np.concatenate(parts)
+
+    def to_dict(self) -> dict:
+        leaf = self.feature < 0
+        return {
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "roots": self.roots.tolist(),
+            "leaf_values": self.values[leaf].tolist(),
+            "raw_importances": self.raw_importances.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict, width: int, n_features: int) -> "TreeEnsemble":
+        feature = np.array(data["feature"], dtype=np.intp)
+        values = np.zeros((len(feature), width))
+        values[feature < 0] = np.array(data["leaf_values"], dtype=np.float64).reshape(-1, width)
+        return cls(
+            feature=feature,
+            threshold=np.array(data["threshold"], dtype=np.float64),
+            left=np.array(data["left"], dtype=np.intp),
+            right=np.array(data["right"], dtype=np.intp),
+            roots=np.array(data["roots"], dtype=np.intp),
+            values=values,
+            raw_importances=np.array(data["raw_importances"], dtype=np.float64).reshape(-1, n_features),
+        )
+
+
+class EnsembleBuilder:
+    """Node lists that the trees of one ensemble grow into, one after another."""
+
+    def __init__(self, n_features: int, width: int):
+        self.n_features = n_features
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.values: list = []
+        self.roots: list[int] = []
+        self.importances: list[np.ndarray] = []
+        self._zeros = [0.0] * width
+
+    def _new_node(self) -> int:
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(node)
+        self.right.append(node)
+        self.values.append(self._zeros)
+        return node
+
+    def grow(
+        self,
+        X: np.ndarray,
+        criterion: Gini | Sse,
+        rng: np.random.Generator,
+        max_depth: int | None = None,
+        max_features="sqrt",
+    ) -> np.ndarray:
+        """Grow one tree on ``X``; returns the leaf node of each row."""
+        if len(X) == 0:
+            raise ValueError("cannot fit a tree on an empty sample")
+        n, d = X.shape
+        importances = np.zeros(d)
+        leaf_of = np.zeros(n, dtype=np.intp)
+        root = self._new_node()
+        self.roots.append(root)
+        stack = [(np.arange(n), 0, root)]
+        while stack:
+            idx, depth, node = stack.pop()
+            parent_key, splittable, leaf_value, scan = criterion.node(idx)
+            depth_ok = max_depth is None or depth < max_depth
+            best = None
+            if splittable and depth_ok and idx.size >= 2:
+                for f in sample_features(rng, d, max_features):
+                    col = X[idx, f]
+                    if col.min() == col.max():
+                        continue
+                    found = scan(col)
+                    if found is not None and (best is None or found[0] > best[0]):
+                        best = (found[0], int(f), found[1])
+                if best is not None and best[0] - parent_key <= _GAIN_EPS:
+                    best = None
+            if best is None:
+                leaf_of[idx] = node
+                if leaf_value is not None:
+                    self.values[node] = leaf_value
+                continue
+            key, f, threshold = best
+            # weighted impurity decrease: W*i_parent - (W_L*i_L + W_R*i_R)
+            importances[f] += key - parent_key
+            go_left = X[idx, f] <= threshold
+            self.feature[node] = f
+            self.threshold[node] = threshold
+            self.left[node] = left = self._new_node()
+            self.right[node] = right = self._new_node()
+            stack.append((idx[~go_left], depth + 1, right))
+            stack.append((idx[go_left], depth + 1, left))
+        self.importances.append(importances)
+        return leaf_of
+
+    def build(self) -> TreeEnsemble:
+        return TreeEnsemble(
+            feature=np.array(self.feature, dtype=np.intp),
+            threshold=np.array(self.threshold, dtype=np.float64),
+            left=np.array(self.left, dtype=np.intp),
+            right=np.array(self.right, dtype=np.intp),
+            roots=np.array(self.roots, dtype=np.intp),
+            values=np.array(self.values, dtype=np.float64).reshape(len(self.feature), len(self._zeros)),
+            raw_importances=np.array(self.importances, dtype=np.float64).reshape(-1, self.n_features),
+        )

@@ -3,10 +3,11 @@
 Adapters are external executables that follow the competition output
 convention: a line ``o <integer>`` on standard output announces a new
 incumbent objective value; everything else is ignored.  The harness
-timestamps each line against process spawn, terminates the child at the
-budget (hard kill after a 1 s grace period), keeps strictly improving
-events only, and samples them onto a :class:`~pbselect.grid.TimestepGrid`
-as a step function (best value achieved at or before each grid point).
+timestamps each line against process spawn, terminates the child's whole
+process group at the budget (hard kill after a 1 s grace period), keeps
+strictly improving events only, and samples them onto a
+:class:`~pbselect.grid.TimestepGrid` as a step function (best value
+achieved at or before each grid point).
 
 A run archive is a directory with one subdirectory per instance holding a
 ``<solver>.traj`` file (metadata line, event lines, sampled line) and the
@@ -18,8 +19,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import shlex
+import signal
 import subprocess
 import threading
 import time
@@ -36,6 +39,7 @@ FINAL_ONLY = "final-only"
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
+_KILL_GRACE = 1.0  # seconds between SIGTERM and SIGKILL at the budget
 
 
 class AdapterError(RuntimeError):
@@ -115,17 +119,6 @@ class Trajectory:
     sampled: tuple[int | None, ...]
     status: str = "ok"
 
-    def achievement_time(self, j: int, grid: TimestepGrid) -> float | None:
-        """Time of the event that produced sampled[j]."""
-        t_j = grid.points[j]
-        best = None
-        for t, _ in self.events:
-            if t <= t_j:
-                best = t
-            else:
-                break
-        return best
-
     def achievement_times(self, grid: TimestepGrid) -> list[float | None]:
         out: list[float | None] = [None] * grid.count
         ei = 0
@@ -182,14 +175,24 @@ def sample_events(
     return tuple(sampled)
 
 
+def _signal_group(pgid: int, sig: int) -> None:
+    try:
+        os.killpg(pgid, sig)
+    except ProcessLookupError:
+        pass  # every process of the group has been reaped already
+
+
 def run_adapter(
     adapter: SolverAdapter, instance_path: str | Path, budget: float, log_path: str = ""
 ) -> tuple[list[tuple[float, str]], str]:
     """Launch the adapter and capture timestamped stdout lines.
 
-    The child gets ``budget`` seconds from spawn, then SIGTERM, then
-    SIGKILL one second later.  Returns the captured lines and a status:
-    "ok" for a clean exit or a budget kill, "crashed" for a nonzero exit.
+    The child runs in a new session, so its process group holds everything
+    it starts.  The group gets ``budget`` seconds from spawn; whatever of it
+    still runs or holds standard output then gets SIGTERM and, once standard
+    output is closed or one second has passed, SIGKILL.  Returns the
+    captured lines and a status: "ok" for a clean exit or a budget kill,
+    "crashed" for a nonzero exit.
     """
     argv = adapter.argv(str(instance_path), budget, log_path)
     try:
@@ -199,6 +202,7 @@ def run_adapter(
             stderr=subprocess.DEVNULL,
             text=True,
             errors="replace",
+            start_new_session=True,
         )
     except (FileNotFoundError, PermissionError, OSError) as exc:
         raise AdapterError(f"cannot launch solver {adapter.solver_id!r}: {exc}") from exc
@@ -213,18 +217,21 @@ def run_adapter(
 
     reader = threading.Thread(target=_pump, daemon=True)
     reader.start()
-    killed = False
     try:
         proc.wait(timeout=budget)
     except subprocess.TimeoutExpired:
-        killed = True
-        proc.terminate()
-        try:
-            proc.wait(timeout=1.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+        pass
+    # stdout stays open while any process of the group holds it, so a
+    # grandchild can keep the reader going after the child has exited
+    reader.join(timeout=max(0.0, start + budget - time.monotonic()))
+    killed = reader.is_alive() or proc.poll() is None
+    if killed:
+        _signal_group(proc.pid, signal.SIGTERM)
+        reader.join(timeout=_KILL_GRACE)
+        _signal_group(proc.pid, signal.SIGKILL)
+    proc.wait()
     reader.join()
+    proc.stdout.close()
     status = "ok" if killed or proc.returncode == 0 else "crashed"
     return lines, status
 
@@ -361,20 +368,16 @@ class RunArchive:
             if raw_lines is not None:
                 base.with_suffix(".log").write_text(raw_log_to_text(raw_lines))
             base.with_suffix(".traj").write_text(trajectory_to_text(traj, self.grid))
+            base.with_suffix(".error").unlink(missing_ok=True)
 
     def read_trajectory(self, instance_id: str, solver_id: str) -> Trajectory:
         text = self._pair_base(instance_id, solver_id).with_suffix(".traj").read_text()
         traj, meta = trajectory_from_text(text)
-        if meta.get("count") != self.grid.count:
+        if {key: meta.get(key) for key in ("count", "horizon", "t_min")} != self.grid.params():
             raise ValueError(
                 f"trajectory {instance_id}/{solver_id} was recorded on a different grid"
             )
         return traj
-
-    def read_raw_log(self, instance_id: str, solver_id: str) -> list[tuple[float, str]]:
-        return raw_log_from_text(
-            self._pair_base(instance_id, solver_id).with_suffix(".log").read_text()
-        )
 
     def record_failure(self, instance_id: str, solver_id: str, message: str) -> None:
         base = self._pair_base(instance_id, solver_id)

@@ -7,19 +7,21 @@ from pbselect.dataset import NO_SOLUTION
 from pbselect.features import append_timestep, extract_basic
 from pbselect.grid import make_grid
 from pbselect.learners import (
+    ForestModel,
     SchemaMismatchError,
     SingleClassError,
     TrainedModel,
+    TreeEnsemble,
     class_weights,
     fit_gradient_boosting,
     fit_knn,
     fit_random_forest,
     gini_impurity,
-    grow_classification_tree,
     hyperparams_for,
     mdi_importance,
     tree_rng,
 )
+from pbselect.learners.tree import EnsembleBuilder, Gini
 from pbselect.opb import parse_opb
 
 
@@ -43,38 +45,55 @@ def test_gini_impurity_value():
     assert gini_impurity(np.array([4.0, 0.0])) == 0.0
 
 
+def _one_tree(X, y, n_classes=2, max_features="sqrt"):
+    builder = EnsembleBuilder(X.shape[1], n_classes)
+    builder.grow(X, Gini(y, np.ones(len(y)), n_classes), tree_rng(0, 0), max_features=max_features)
+    return builder.build()
+
+
 def test_tree_perfectly_separable_single_split():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    tree = grow_classification_tree(X, y, np.ones(4), 2, tree_rng(0, 0), max_features=None)
-    assert tree.nodes.feature.count(-1) == 2  # two leaves
-    preds = np.argmax(tree.predict_dist_batch(X), axis=1)
+    tree = _one_tree(X, y, max_features=None)
+    assert (tree.feature == -1).sum() == 2  # two leaves
+    preds = np.argmax(tree.apply(X, lambda dist: dist[0]), axis=1)
     assert np.array_equal(preds, y)
-    assert tree.nodes.threshold[0] == pytest.approx(1.5)
+    assert tree.threshold[0] == pytest.approx(1.5)
 
 
 def test_tree_single_class_is_single_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1, 1, 1])
-    tree = grow_classification_tree(X, y, np.ones(3), 2, tree_rng(0, 0))
-    assert tree.nodes.feature == [-1]
-    assert tree.leaf_dist[0] == [0.0, 1.0]
+    tree = _one_tree(X, y)
+    assert tree.feature.tolist() == [-1]
+    assert tree.values[0].tolist() == [0.0, 1.0]
 
 
 def test_tree_thresholds_are_midpoints():
     X = np.array([[0.0], [4.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
-    tree = grow_classification_tree(X, y, np.ones(4), 2, tree_rng(0, 0), max_features=None)
-    assert tree.nodes.threshold[0] == pytest.approx(7.0)
+    tree = _one_tree(X, y, max_features=None)
+    assert tree.threshold[0] == pytest.approx(7.0)
 
 
 def test_tree_positive_gain_required():
     # identical feature values, mixed labels: no split possible
     X = np.zeros((4, 2))
     y = np.array([0, 1, 0, 1])
-    tree = grow_classification_tree(X, y, np.ones(4), 2, tree_rng(0, 0))
-    assert tree.nodes.feature == [-1]
-    assert tree.leaf_dist[0] == [0.5, 0.5]
+    tree = _one_tree(X, y)
+    assert tree.feature.tolist() == [-1]
+    assert tree.values[0].tolist() == [0.5, 0.5]
+
+
+def test_ensemble_leaves_loop_to_themselves():
+    X, y = _blobs(200, seed=4, noise=0.1)
+    trees = fit_random_forest(X, y, 3, n_estimators=6, seed=3).trees
+    leaf = np.nonzero(trees.feature < 0)[0]
+    assert np.array_equal(trees.left[leaf], leaf)
+    assert np.array_equal(trees.right[leaf], leaf)
+    # every row ends on a leaf of every tree after ``depth`` steps
+    dist = trees.apply(X, lambda d: d.transpose(1, 0, 2).reshape(d.shape[1], -1))
+    assert np.allclose(dist.reshape(len(X), 6, 3).sum(axis=2), 1.0)
 
 
 # --- random forest --------------------------------------------------------------
@@ -107,18 +126,27 @@ def test_forest_probabilities_are_distributions():
 def test_forest_majority_vote_and_tie_break():
     X, y = _blobs(100, seed=6)
     model = fit_random_forest(X, y, 3, n_estimators=7, seed=2)
-    row = X[0]
-    label, probs = model.predict_one(row.tolist())
-    assert label == int(np.argmax(probs))
-    # manufactured exact tie: argmax must take the lowest class index
-    import pbselect.learners.forest as forest_mod
-
-    stub = forest_mod.ForestModel(
-        trees=[], n_features=1, n_classes=2, n_estimators=0
+    probs = model.predict_proba(X)
+    assert np.array_equal(model.predict(X), np.argmax(probs, axis=1))
+    # two single-leaf trees voting for different classes: an exact tie,
+    # which must go to the lowest class index
+    tie = ForestModel(
+        trees=TreeEnsemble(
+            feature=np.array([-1, -1]),
+            threshold=np.zeros(2),
+            left=np.array([0, 1]),
+            right=np.array([0, 1]),
+            roots=np.array([0, 1]),
+            values=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            raw_importances=np.zeros((2, 1)),
+        ),
+        n_features=1,
+        n_classes=3,
+        n_estimators=2,
     )
-    stub.predict_proba_one = lambda values: [0.5, 0.5]
-    label, _ = forest_mod.ForestModel.predict_one(stub, [0.0])
-    assert label == 0
+    rows = np.array([[0.0], [5.0]])
+    assert tie.predict_proba(rows).tolist() == [[0.0, 0.5, 0.5]] * 2
+    assert tie.predict(rows).tolist() == [1, 1]
 
 
 def test_forest_class_weights_validated():
@@ -196,7 +224,8 @@ def test_knn_zero_variance_feature_passes_through():
     y = np.array([0, 0, 1])
     model = fit_knn(X, y, 1, 2)
     assert model.std[1] == 1.0
-    assert model.predict_one([2.0, 5.0])[0] == 1
+    assert model.predict(np.array([[2.0, 5.0]])).tolist() == [1]
+    assert model.predict_proba(np.array([[2.0, 5.0]])).tolist() == [[0.0, 1.0]]
 
 
 def test_knn_distance_tie_includes_earlier_row():
@@ -204,16 +233,15 @@ def test_knn_distance_tie_includes_earlier_row():
     X = np.array([[0.0], [2.0]])
     y = np.array([1, 0])
     model = fit_knn(X, y, 1, 2, standardize=False)
-    assert model.predict_one([1.0])[0] == 1
+    assert model.predict(np.array([[1.0], [1.0]])).tolist() == [1, 1]
 
 
 def test_knn_vote_tie_breaks_by_class_order():
     X = np.array([[0.0], [0.2], [1.0], [1.2]])
     y = np.array([1, 1, 0, 0])
     model = fit_knn(X, y, 4, 2, standardize=False)
-    label, votes = model.predict_one([0.6])
-    assert votes == [0.5, 0.5]
-    assert label == 0
+    assert model.predict_proba(np.array([[0.6]])).tolist() == [[0.5, 0.5]]
+    assert model.predict(np.array([[0.6]])).tolist() == [0]
 
 
 # --- class weights and MDI --------------------------------------------------------
@@ -265,25 +293,30 @@ def test_mdi_unused_feature_zero_and_sums_to_one():
 # --- trained-model container -------------------------------------------------------
 
 
-def _toy_trained(tmp_path=None, seed=0):
+def _trained(family, seed=0):
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(60, 3))
-    y = (X[:, 0] > 0).astype(np.intp)
-    model = fit_random_forest(X, y, 3, n_estimators=5, seed=seed)
+    X = rng.normal(size=(90, 3))
+    y = (X[:, 0] > 0).astype(np.intp) + (X[:, 1] > 0.5)
+    if family == "rf":
+        model = fit_random_forest(X, y, 3, n_estimators=5, seed=seed)
+    elif family == "gb":
+        model = fit_gradient_boosting(X, y, 3, n_estimators=4, learning_rate=0.25, seed=seed)
+    else:
+        model = fit_knn(X, y, 5, 3)
     return TrainedModel(
-        family="rf",
+        family=family,
         schema="basic",
         encoding="index",
         vocabulary=["A", "B", NO_SOLUTION],
-        params={"n_estimators": 5, "grid": {"count": 4, "horizon": 100.0, "t_min": 1.0}},
+        params={"grid": {"count": 4, "horizon": 100.0, "t_min": 1.0}},
         seed=seed,
         model=model,
-        mdi=mdi_importance(model).tolist(),
+        mdi=None if family == "knn" else mdi_importance(model).tolist(),
     )
 
 
 def test_trained_model_save_load_roundtrip(tmp_path):
-    tm = _toy_trained()
+    tm = _trained("rf")
     path = tmp_path / "model.json"
     tm.save(path)
     again = TrainedModel.load(path)
@@ -293,12 +326,44 @@ def test_trained_model_save_load_roundtrip(tmp_path):
     assert np.array_equal(again.predict_batch(X), tm.predict_batch(X))
     # identical fits write byte-identical files
     other = tmp_path / "model2.json"
-    _toy_trained().save(other)
+    _trained("rf").save(other)
     assert path.read_bytes() == other.read_bytes()
 
 
+@pytest.mark.parametrize("family", ["rf", "gb", "knn"])
+def test_predict_values_is_batch_row(family, monkeypatch):
+    tm = _trained(family)
+    X = np.random.default_rng(5).normal(size=(25, 3))
+    labels = tm.predict_batch(X)
+    probs = tm.model.predict_proba(X)
+    for i, row in enumerate(X):
+        label, by_label = tm.predict_values(tuple(row))
+        assert label == tm.vocabulary[labels[i]]
+        assert [by_label[v] for v in tm.vocabulary] == probs[i].tolist()
+    # one row per chunk gives the same bits as one chunk for the whole batch
+    import pbselect.learners.knn as knn_mod
+    import pbselect.learners.tree as tree_mod
+
+    monkeypatch.setattr(tree_mod, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(knn_mod, "_CHUNK_CELLS", 1)
+    assert tm.model.predict_proba(X).tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("family", ["rf", "gb", "knn"])
+def test_format2_save_load_save_is_byte_identical(family, tmp_path):
+    tm = _trained(family, seed=3)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    tm.save(first)
+    again = TrainedModel.load(first)
+    again.save(second)
+    assert json.loads(first.read_text())["version"] == 2
+    assert first.read_bytes() == second.read_bytes()
+    X = np.random.default_rng(4).normal(size=(30, 3))
+    assert again.model.predict_proba(X).tobytes() == tm.model.predict_proba(X).tobytes()
+
+
 def test_trained_model_rejects_schema_mismatch(tmp_path):
-    tm = _toy_trained()
+    tm = _trained("rf")
     grid = make_grid(4, 100.0, 1.0)
     inst = parse_opb("* #variable= 2 #constraint= 1\nmin: +1 x1 ;\n+1 x1 >= 0 ;\n")
     good = append_timestep(extract_basic(inst), 1, grid)
@@ -317,7 +382,7 @@ def test_trained_model_rejects_schema_mismatch(tmp_path):
 
 
 def test_trained_model_version_check(tmp_path):
-    tm = _toy_trained()
+    tm = _trained("rf")
     path = tmp_path / "model.json"
     tm.save(path)
     data = json.loads(path.read_text())
@@ -325,23 +390,32 @@ def test_trained_model_version_check(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         TrainedModel.load(path)
+    # format 1 (one node list per tree) is not read
+    data["version"] = 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="version 1"):
+        TrainedModel.load(path)
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         TrainedModel.load(path)
 
 
-def test_describe_mentions_params_and_mdi(tmp_path):
-    text = _toy_trained().describe()
-    assert "family: rf" in text
-    assert "mdi_importance" in text
+def test_importance_command_prints_mdi_table(tmp_path, capsys):
+    from pbselect.cli import main
+
+    path = tmp_path / "model.json"
+    tm = _trained("rf")
+    tm.save(path)
+    assert main(["importance", "--model", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "feature,mdi_importance"
+    assert [float(line.split(",")[1]) for line in lines[1:]] == tm.mdi
+    _trained("knn").save(path)
+    assert main(["importance", "--model", str(path)]) == 2
 
 
 def test_hyperparameter_table():
-    assert hyperparams_for("rf", "nonlinear") == {
-        "n_estimators": 100,
-        "max_features": "sqrt",
-        "criterion": "gini",
-    }
+    assert hyperparams_for("rf", "nonlinear") == {"n_estimators": 100, "max_features": "sqrt"}
     assert hyperparams_for("gb", "basic")["learning_rate"] == 0.5
     assert hyperparams_for("gb", "nonlinear")["learning_rate"] == 0.25
     assert hyperparams_for("gb", "linear")["learning_rate"] == 0.1

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ from pbselect.runner import (
     parse_events,
     raw_log_from_text,
     raw_log_to_text,
+    run_adapter,
     run_portfolio,
     run_solver,
     sample_events,
@@ -121,7 +124,6 @@ def test_achievement_times():
     grid = make_grid(3, 100.0, 1.0)
     traj = _traj(((0.5, 12), (5.0, 7)), grid)
     assert traj.achievement_times(grid) == [0.5, 5.0, 5.0]
-    assert traj.achievement_time(0, grid) == 0.5
     assert _traj((), grid).achievement_times(grid) == [None, None, None]
 
 
@@ -188,6 +190,18 @@ def test_run_solver_kills_at_horizon(stub_solver, opb_file):
     assert traj.status == "ok"  # budget kill is not a crash
 
 
+@pytest.mark.parametrize("script", ["echo o 5; sleep 3; echo o 4", "sleep 3 & echo o 5"])
+def test_budget_kill_reaches_grandchildren(script, opb_file):
+    # sh forks ``sleep``, which holds stdout open: killing only sh, or only
+    # waiting for sh to exit, would leave the reader waiting for the sleep
+    adapter = SolverAdapter("x", ("sh", "-c", script))
+    t0 = time.monotonic()
+    lines, status = run_adapter(adapter, opb_file, 0.5)
+    assert time.monotonic() - t0 < 0.5 + 1.0
+    assert [line for _, line in lines] == ["o 5"]
+    assert status == "ok"
+
+
 def test_missing_executable_is_hard_error(opb_file):
     adapter = SolverAdapter("ghost", ("/nonexistent/solver", "{instance}"))
     with pytest.raises(AdapterError):
@@ -240,7 +254,9 @@ def test_run_portfolio_cardinality_and_resume(stub_solver, tmp_path):
 
 
 def test_run_portfolio_parallel_matches_sequential(stub_solver, tmp_path):
-    grid = make_grid(3, 2.0, 0.2)
+    # the first grid point lies well past interpreter start-up: four stubs
+    # starting at once on two cores print their first line after 0.2 s
+    grid = make_grid(3, 2.0, 1.0)
     portfolio = _portfolio(stub_solver)
     paths = _instances(tmp_path)
     seq = run_portfolio(portfolio, paths, grid, tmp_path / "a1", parallelism=1)
@@ -268,6 +284,31 @@ def test_run_portfolio_isolates_failures(stub_solver, tmp_path):
     for iid, _, _ in archive.instances():
         assert archive.has(iid, "ok")
         assert not archive.has(iid, "ghost")
+
+
+def test_successful_write_clears_stale_failure(tmp_path):
+    grid = make_grid(2, 10.0, 1.0)
+    archive = RunArchive(tmp_path / "a", grid)
+    archive.record_failure("i", "s", "cannot launch solver")
+    assert len(archive.failures()) == 1
+    archive.write_trajectory(_traj(((0.5, 3),), grid))
+    assert archive.failures() == []
+    assert archive.has("i", "s")
+
+
+def test_read_trajectory_checks_whole_grid(tmp_path):
+    grid = make_grid(2, 10.0, 1.0)
+    archive = RunArchive(tmp_path / "a", grid)
+    archive.write_trajectory(_traj(((0.5, 3),), grid))
+    assert archive.read_trajectory("i", "s").events == ((0.5, 3),)
+    path = archive._pair_base("i", "s").with_suffix(".traj")
+    lines = path.read_text().splitlines()
+    for key, value in (("t_min", 0.5), ("horizon", 20.0)):
+        meta = json.loads(lines[0])
+        meta[key] = value  # same count, another grid
+        path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError):
+            archive.read_trajectory("i", "s")
 
 
 def test_archive_rejects_mismatched_grid(tmp_path):
