@@ -112,7 +112,7 @@ def cmd_build_dataset(args) -> int:
         archive, args.schema, portfolio.solver_ids, encoding=args.timestep_encoding
     )
     ds_mod.write_csv(ds, args.out)
-    print(f"{len(ds.rows)} rows, {len(ds.skipped)} instances skipped -> {args.out}")
+    print(f"{ds.labels.size} rows, {len(ds.skipped)} instances skipped -> {args.out}")
     return 0
 
 

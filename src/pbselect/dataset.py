@@ -1,11 +1,18 @@
 """Turn a run archive into a labeled learning dataset.
 
-Each (instance, timestep) pair becomes one row: the instance features with
-the timestep appended, plus the winner label.  The winner is the solver
-holding the smallest sampled objective at that timestep; ties go to the
-solver that reached the value first, and residual ties (same value, same
-time) to the earlier solver in portfolio declaration order.  Pairs where
-no solver has found anything yet get the NO_SOLUTION label.
+The layout is columnar, as in ASlib: an (instances x features) table and
+an (instances x timesteps) matrix of winner labels.  ``matrix`` broadcasts
+the table against the encoded timestep column into learning rows, in
+instance-then-timestep order; ``rows`` builds one read-only
+:class:`DatasetRow` per pair on demand.  On disk a dataset is a CSV with
+one line per pair, plus a ``.meta.json`` sidecar and a skip manifest.
+
+The winner is the solver holding the smallest sampled objective at that
+timestep; ties go to the solver that reached the value first, and residual
+ties (same value, same time) to the earlier solver in portfolio declaration
+order.  Pairs where no solver has found anything yet get the NO_SOLUTION
+label.  Objectives are unbounded ints, compared through their ranks among
+the instance's distinct values.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureVector, append_timestep, extract_timed, feature_names
+from .features import FeatureVector, encode_timestep, extract_timed, feature_names
 from .grid import TimestepGrid, make_grid
 from .opb import MissingObjectiveError, OpbParseError, parse_opb_file
 from .runner import RunArchive
@@ -35,24 +42,37 @@ TEST = "test"
 _META_COLUMNS = ("benchmark", "instance", "timestep", "label", "split")
 
 
-def label_pair(
-    samples: dict[str, tuple[int | None, float | None]], solver_order: list[str]
-) -> str:
-    """Winner label for one (instance, timestep) pair.
+def rank_sampled(sampled: list[tuple[int | None, ...]]) -> tuple[np.ndarray, list[int]]:
+    """Rank every sampled objective among the distinct ones of an instance.
 
-    ``samples`` maps solver id to (sampled objective, achievement time);
-    both are None while the solver has no solution.  Smallest objective
-    wins; ties break to the earliest achievement time, then to portfolio
-    declaration order.
+    ``sampled`` holds one tuple per solver.  Returns the ranks as a
+    (timestep x solver) array, -1 where a solver has no solution, and the
+    distinct values in increasing order, so ``distinct[rank]`` is the value.
     """
-    best: tuple[str, int, float] | None = None
-    for sid in solver_order:
-        value, at = samples.get(sid, (None, None))
-        if value is None:
-            continue
-        if best is None or value < best[1] or (value == best[1] and at < best[2]):
-            best = (sid, value, at)
-    return best[0] if best else NO_SOLUTION
+    distinct = sorted({v for per_solver in sampled for v in per_solver if v is not None})
+    rank = {v: r for r, v in enumerate(distinct)}
+    rank[None] = -1
+    ranks = np.array([[rank[v] for v in per_solver] for per_solver in sampled], dtype=np.intp)
+    return ranks.T, distinct
+
+
+def winner_labels(
+    sampled: list[tuple[int | None, ...]], achieved: list[list[float | None]]
+) -> np.ndarray:
+    """Winner label index at each timestep of one instance.
+
+    ``sampled[s][j]`` is solver s's objective at timestep j and
+    ``achieved[s][j]`` the time it reached that value, both None while it
+    has no solution.  Smallest objective wins, then earliest achievement,
+    then declaration order; index ``len(sampled)`` stands for NO_SOLUTION.
+    """
+    ranks, _ = rank_sampled(sampled)
+    feasible = ranks >= 0
+    key = np.where(feasible, ranks, np.iinfo(np.intp).max)
+    tied = key == key.min(axis=1, keepdims=True)
+    at = np.where(tied, np.array(achieved, dtype=np.float64).T, np.inf)
+    first = tied & (at == at.min(axis=1, keepdims=True))
+    return np.where(feasible.any(axis=1), first.argmax(axis=1), len(sampled))
 
 
 @dataclass(frozen=True)
@@ -66,7 +86,10 @@ class DatasetRow:
 
 @dataclass
 class LabeledDataset:
-    rows: list[DatasetRow]
+    instance_ids: list[str]
+    benchmark_ids: list[str]
+    features: np.ndarray  # (instances, features)
+    labels: np.ndarray  # (instances, grid.count) indices into vocabulary()
     schema: str
     encoding: str
     grid: TimestepGrid
@@ -75,24 +98,47 @@ class LabeledDataset:
     feature_seconds: dict[str, float] = field(default_factory=dict)
     skipped: list[tuple[str, str]] = field(default_factory=list)
 
+    def __post_init__(self):
+        n, d = len(self.instance_ids), len(feature_names(self.schema, with_timestep=False))
+        self.features = np.asarray(self.features, dtype=np.float64).reshape(n, d)
+        self.labels = np.asarray(self.labels, dtype=np.intp).reshape(n, self.grid.count)
+
     def vocabulary(self) -> list[str]:
         return self.solver_order + [NO_SOLUTION]
 
-    def instance_ids(self) -> list[str]:
-        seen = dict.fromkeys(r.instance_id for r in self.rows)
-        return list(seen)
+    def timesteps(self) -> list[float]:
+        """The encoded timestep feature of each grid index."""
+        return [encode_timestep(j, self.grid, self.encoding) for j in range(self.grid.count)]
 
-    def rows_for(self, part: str | None) -> list[DatasetRow]:
-        if part is None:
-            return self.rows
-        return [r for r in self.rows if self.split.get(r.instance_id) == part]
+    def part_mask(self, part: str | None) -> np.ndarray:
+        """Which instances belong to ``part``; None selects every instance."""
+        return np.array(
+            [part is None or self.split.get(iid) == part for iid in self.instance_ids], dtype=bool
+        )
 
-    def feature_matrix(self, rows: list[DatasetRow]) -> np.ndarray:
-        return np.array([r.features.full() for r in rows], dtype=np.float64)
+    def matrix(self, part: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """Feature rows (instance features, then the timestep) and label
+        indices of ``part``'s instances, in instance-then-timestep order."""
+        mask = self.part_mask(part)
+        table = self.features[mask]
+        n, d = table.shape
+        X = np.empty((n, self.grid.count, d + 1))
+        X[:, :, :d] = table[:, None, :]
+        X[:, :, d] = self.timesteps()
+        return X.reshape(-1, d + 1), self.labels[mask].reshape(-1)
 
-    def label_indices(self, rows: list[DatasetRow]) -> np.ndarray:
-        index = {label: i for i, label in enumerate(self.vocabulary())}
-        return np.array([index[r.label] for r in rows], dtype=np.intp)
+    @property
+    def rows(self) -> list[DatasetRow]:
+        """One read-only row object per (instance, timestep), built on demand."""
+        vocab, steps = self.vocabulary(), self.timesteps()
+        return [
+            DatasetRow(iid, bench, j, FeatureVector(values, self.schema, steps[j]), vocab[label])
+            for iid, bench, values, labels in zip(
+                self.instance_ids, self.benchmark_ids, map(tuple, self.features.tolist()),
+                self.labels.tolist(),
+            )
+            for j, label in enumerate(labels)
+        ]
 
 
 def build_dataset(
@@ -101,29 +147,27 @@ def build_dataset(
     solver_order: list[str],
     encoding: str = "index",
 ) -> LabeledDataset:
-    """One row per (instance, timestep) over everything the archive holds.
+    """Label every instance of the archive at every timestep.
 
     Instances that fail to parse, lack an objective, or miss a trajectory
     for some portfolio solver are skipped and listed in the skip manifest.
-    Features are computed once per instance (wall time recorded for
-    overhead accounting) and repeated across timesteps.
+    Features are computed once per instance; their wall time is recorded
+    for overhead accounting.
     """
     grid = archive.grid
-    rows: list[DatasetRow] = []
+    ids: list[str] = []
+    benches: list[str] = []
+    features: list[tuple[float, ...]] = []
+    labels: list[np.ndarray] = []
     feature_seconds: dict[str, float] = {}
     skipped: list[tuple[str, str]] = []
 
     for iid, bench, path in archive.instances():
-        trajs = {}
-        missing = None
-        for sid in solver_order:
-            if not archive.has(iid, sid):
-                missing = sid
-                break
-            trajs[sid] = archive.read_trajectory(iid, sid)
+        missing = next((sid for sid in solver_order if not archive.has(iid, sid)), None)
         if missing is not None:
             skipped.append((iid, f"missing trajectory for solver {missing}"))
             continue
+        trajs = [archive.read_trajectory(iid, sid) for sid in solver_order]
         try:
             inst = parse_opb_file(path, benchmark_id=bench)
         except (OSError, OpbParseError) as exc:
@@ -135,22 +179,19 @@ def build_dataset(
             skipped.append((iid, "no objective"))
             continue
         feature_seconds[iid] = seconds
-        ach = {sid: trajs[sid].achievement_times(grid) for sid in solver_order}
-        for j in range(grid.count):
-            samples = {sid: (trajs[sid].sampled[j], ach[sid][j]) for sid in solver_order}
-            rows.append(
-                DatasetRow(
-                    instance_id=iid,
-                    benchmark_id=bench,
-                    timestep_index=j,
-                    features=append_timestep(fv, j, grid, encoding),
-                    label=label_pair(samples, solver_order),
-                )
-            )
+        ids.append(iid)
+        benches.append(bench)
+        features.append(fv.values)
+        labels.append(
+            winner_labels([t.sampled for t in trajs], [t.achievement_times(grid) for t in trajs])
+        )
     for iid, reason in skipped:
         logger.warning("skipped %s: %s", iid, reason)
     return LabeledDataset(
-        rows=rows,
+        instance_ids=ids,
+        benchmark_ids=benches,
+        features=features,
+        labels=labels,
         schema=schema,
         encoding=encoding,
         grid=grid,
@@ -170,8 +211,8 @@ def split_by_benchmark(
     benchmark goes entirely to train.
     """
     by_bench: dict[str, set[str]] = {}
-    for r in ds.rows:
-        by_bench.setdefault(r.benchmark_id, set()).add(r.instance_id)
+    for bench, iid in zip(ds.benchmark_ids, ds.instance_ids):
+        by_bench.setdefault(bench, set()).add(iid)
     rng = random.Random(seed)
     split: dict[str, str] = {}
     for bench in sorted(by_bench):
@@ -206,12 +247,13 @@ class WinSummary:
 
 def win_summary(ds: LabeledDataset) -> WinSummary:
     labels = ds.vocabulary()
-    by_timestep = {l: [0] * ds.grid.count for l in labels}
-    by_benchmark: dict[str, dict[str, int]] = {}
-    for r in ds.rows:
-        by_timestep[r.label][r.timestep_index] += 1
-        by_benchmark.setdefault(r.benchmark_id, {}).setdefault(r.label, 0)
-        by_benchmark[r.benchmark_id][r.label] += 1
+    by_timestep = {l: (ds.labels == k).sum(axis=0).tolist() for k, l in enumerate(labels)}
+    totals: dict[str, np.ndarray] = {}
+    for bench, row in zip(ds.benchmark_ids, ds.labels):
+        totals[bench] = totals.get(bench, 0) + np.bincount(row, minlength=len(labels))
+    by_benchmark = {
+        bench: {l: int(n) for l, n in zip(labels, counts) if n} for bench, counts in totals.items()
+    }
     return WinSummary(labels=labels, by_timestep=by_timestep, by_benchmark=by_benchmark)
 
 
@@ -223,7 +265,8 @@ def _sidecars(path: Path) -> tuple[Path, Path]:
 
 
 def write_csv(ds: LabeledDataset, path: str | Path) -> None:
-    """Write rows as CSV plus a .meta.json sidecar and a skip manifest.
+    """Write one line per (instance, timestep) plus a .meta.json sidecar
+    and a skip manifest.
 
     The ``timestep`` column holds the grid index; the encoded timestep
     feature is reconstructed from it (and the recorded encoding) on read,
@@ -231,20 +274,16 @@ def write_csv(ds: LabeledDataset, path: str | Path) -> None:
     """
     path = Path(path)
     header = list(_META_COLUMNS) + list(feature_names(ds.schema, with_timestep=False))
+    vocab = ds.vocabulary()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for r in ds.rows:
-            w.writerow(
-                [
-                    r.benchmark_id,
-                    r.instance_id,
-                    r.timestep_index,
-                    r.label,
-                    ds.split.get(r.instance_id, ""),
-                ]
-                + [repr(v) for v in r.features.values]
-            )
+        for iid, bench, values, labels in zip(
+            ds.instance_ids, ds.benchmark_ids, ds.features.tolist(), ds.labels.tolist()
+        ):
+            part = ds.split.get(iid, "")
+            cells = [repr(v) for v in values]
+            w.writerows([bench, iid, j, vocab[label], part, *cells] for j, label in enumerate(labels))
     meta_path, skips_path = _sidecars(path)
     meta = {
         "schema": ds.schema,
@@ -258,13 +297,22 @@ def write_csv(ds: LabeledDataset, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> LabeledDataset:
+    """Read a dataset written by :func:`write_csv`.
+
+    Each instance's features are parsed once.  Raises ValueError naming the
+    instance when its lines disagree on the benchmark or a feature value,
+    hold an unknown label, or do not hold each grid index exactly once, in
+    order.
+    """
     path = Path(path)
     meta_path, skips_path = _sidecars(path)
     meta = json.loads(meta_path.read_text())
     grid = make_grid(**meta["grid"])
-    schema, encoding = meta["schema"], meta["encoding"]
+    schema, solvers = meta["schema"], list(meta["solvers"])
+    label_index = {label: k for k, label in enumerate(solvers + [NO_SOLUTION])}
     n_meta = len(_META_COLUMNS)
-    rows: list[DatasetRow] = []
+    # instance id -> (benchmark, feature cells, labels by grid index)
+    seen: dict[str, tuple[str, list[str], list[int]]] = {}
     split: dict[str, str] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -274,23 +322,36 @@ def read_csv(path: str | Path) -> LabeledDataset:
             raise ValueError(f"unexpected dataset header in {path}")
         for rec in reader:
             bench, iid, j, label, part = rec[:n_meta]
-            j = int(j)
-            values = tuple(float(v) for v in rec[n_meta:])
-            fv = append_timestep(FeatureVector(values, schema), j, grid, encoding)
-            rows.append(DatasetRow(iid, bench, j, fv, label))
+            cells = rec[n_meta:]
+            first_bench, first_cells, labels = seen.setdefault(iid, (bench, cells, []))
+            if bench != first_bench or (
+                cells != first_cells and list(map(float, cells)) != list(map(float, first_cells))
+            ):
+                raise ValueError(f"{path}: the lines of instance {iid} disagree on its features")
+            if int(j) != len(labels):
+                raise ValueError(f"{path}: instance {iid} has grid index {j} in place of {len(labels)}")
+            if label not in label_index:
+                raise ValueError(f"{path}: instance {iid} has unknown label {label!r}")
+            labels.append(label_index[label])
             if part:
                 split[iid] = part
+    for iid, (_, _, labels) in seen.items():
+        if len(labels) != grid.count:
+            raise ValueError(f"{path}: instance {iid} holds {len(labels)} of {grid.count} grid indices")
     skipped = []
     if skips_path.exists():
         for line in skips_path.read_text().splitlines():
             iid, _, reason = line.partition("\t")
             skipped.append((iid, reason))
     return LabeledDataset(
-        rows=rows,
+        instance_ids=list(seen),
+        benchmark_ids=[bench for bench, _, _ in seen.values()],
+        features=[[float(v) for v in cells] for _, cells, _ in seen.values()],
+        labels=[labels for _, _, labels in seen.values()],
         schema=schema,
-        encoding=encoding,
+        encoding=meta["encoding"],
         grid=grid,
-        solver_order=list(meta["solvers"]),
+        solver_order=solvers,
         split=split,
         feature_seconds={k: float(v) for k, v in meta["feature_seconds"].items()},
         skipped=skipped,

@@ -1,18 +1,21 @@
-"""Anytime evaluation: normalization, cumulative metrics, gap scores.
+"""Anytime evaluation: one normalized value tensor, cumulative metrics, gap scores.
 
-Objective values are normalized per instance against the best and worst
-feasible values any portfolio solver ever found there: the result is
-(o - o_min) / (o_max - o_min), with two special cases -- 0 when the pair
-sits at a degenerate o_min == o_max, and 2 when the policy has no feasible
-solution while others do.  Cumulative sums of these values give m_s per
-solver and m_ms for a selector policy; the headline score is the gap ratio
+An :class:`EvalContext` holds ``values[instance, timestep, solver]``: each
+solver's sampled objective normalized per instance against the best and
+worst values any portfolio solver ever found there, (o - o_min) /
+(o_max - o_min) computed from the exact ints, 0 when o_min == o_max, and
+2.0 where the solver has no solution yet.  ``ranks`` holds each value's
+rank among the instance's distinct objectives (-1 for none), for exact
+equality tests.  Only pairs where some solver has a solution are
+evaluated; summed over them with ``math.fsum`` (so their order does not
+matter), a solver's column gives m_s, the minimum over solvers m_VBS and
+a policy's chosen values m_ms.  The headline score is the gap ratio
 
     m_hat = (m_ms - m_VBS) / (m_SBS - m_VBS)
 
 which is 0 for a perfect (virtual-best) selector and 1 for always running
-the single best solver.  Only (instance, timestep) pairs where at least
-one solver has a feasible solution are evaluated; accuracy and the
-confusion matrix, by contrast, cover every test row.
+the single best solver.  Accuracy and the confusion matrix, by contrast,
+cover every test row.
 
 With overhead accounting on, each instance's measured feature-extraction
 plus prediction seconds shift the trajectory lookup to the largest grid
@@ -28,59 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import NO_SOLUTION, TEST, LabeledDataset
+from .dataset import TEST, LabeledDataset, rank_sampled
 from .grid import TimestepGrid
 from .runner import RunArchive, Trajectory
-
-Pair = tuple[str, int]  # (instance_id, timestep index)
 
 
 class DegeneratePortfolioError(ValueError):
     """m_SBS equals m_VBS, so the gap ratio is undefined."""
-
-
-@dataclass(frozen=True)
-class InstanceBounds:
-    """Extremes over all feasible solutions found by any solver, any time."""
-
-    o_min: int | None
-    o_max: int | None
-
-    @property
-    def defined(self) -> bool:
-        return self.o_max is not None
-
-
-def compute_bounds(trajectories: list[Trajectory]) -> InstanceBounds:
-    lo: int | None = None
-    hi: int | None = None
-    for traj in trajectories:
-        for _, value in traj.events:
-            if lo is None or value < lo:
-                lo = value
-            if hi is None or value > hi:
-                hi = value
-    return InstanceBounds(o_min=lo, o_max=hi)
-
-
-def normalize(o: int | None, bounds: InstanceBounds) -> float:
-    """Map an objective (or the no-solution case) into [0, 1] or {2}."""
-    if not bounds.defined:
-        raise ValueError("normalize needs defined instance bounds")
-    if o is None:
-        return 2.0
-    if bounds.o_min == bounds.o_max:
-        return 0.0
-    return (o - bounds.o_min) / (bounds.o_max - bounds.o_min)
-
-
-def cumulative_metric(
-    values: list[int | None], bounds_per_pair: list[InstanceBounds]
-) -> float:
-    """Sum of normalized values over the evaluated pairs, in pair order."""
-    if len(values) != len(bounds_per_pair):
-        raise ValueError("policy must provide a value for every evaluated pair")
-    return math.fsum(normalize(o, b) for o, b in zip(values, bounds_per_pair))
 
 
 def m_hat(m_ms: float, m_sbs: float, m_vbs: float) -> float:
@@ -91,80 +48,53 @@ def m_hat(m_ms: float, m_sbs: float, m_vbs: float) -> float:
     return (m_ms - m_vbs) / (m_sbs - m_vbs)
 
 
-def sbs_breakdown(
-    values: list[int | None], best_values: list[int | None]
-) -> dict[str, int]:
-    """Classify each pair: best-found incumbent, worse feasible, or none."""
-    counts = {"best": 0, "non_best": 0, "none": 0}
-    for got, best in zip(values, best_values):
-        if got is None:
-            counts["none"] += 1
-        elif got == best:
-            counts["best"] += 1
-        else:
-            counts["non_best"] += 1
-    return counts
+def sbs_breakdown(ranks: np.ndarray, best_ranks: np.ndarray) -> dict[str, int]:
+    """Classify each pair by the rank of its value: the best found at that
+    pair (``best_ranks``), a worse feasible one, or none (-1)."""
+    feasible = ranks >= 0
+    none = int((~feasible).sum())
+    best = int((feasible & (ranks == best_ranks)).sum())
+    return {"best": best, "non_best": len(ranks) - best - none, "none": none}
 
 
 @dataclass
 class EvalContext:
-    """Trajectory samples, bounds and the evaluated pair set for one split."""
+    """Normalized values and ranks of one split, (instance, timestep, solver)."""
 
     grid: TimestepGrid
     solver_order: list[str]
     instance_ids: list[str]
-    sampled: dict[tuple[str, str], tuple[int | None, ...]]
-    bounds: dict[str, InstanceBounds]
-    pairs: list[Pair]
+    values: np.ndarray
+    ranks: np.ndarray
 
-    def solver_values(self, solver_id: str) -> list[int | None]:
-        return [self.sampled[(iid, solver_id)][j] for iid, j in self.pairs]
+    @property
+    def evaluated(self) -> np.ndarray:
+        """(instance, timestep) pairs where some solver has a solution."""
+        return (self.ranks >= 0).any(axis=2)
 
-    def best_values(self) -> list[int | None]:
-        out: list[int | None] = []
-        for iid, j in self.pairs:
-            vals = [
-                v
-                for sid in self.solver_order
-                if (v := self.sampled[(iid, sid)][j]) is not None
-            ]
-            out.append(min(vals) if vals else None)
-        return out
+    def metric(self, values: np.ndarray) -> float:
+        """Sum of an (instance, timestep) array over the evaluated pairs."""
+        return math.fsum(values[self.evaluated].tolist())
 
-    def bounds_per_pair(self) -> list[InstanceBounds]:
-        return [self.bounds[iid] for iid, _ in self.pairs]
+    def choose(
+        self, labels: np.ndarray, overhead: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized value and rank that each pair's chosen solver holds.
 
-    def policy_values(
-        self,
-        policy: dict[Pair, str],
-        overhead_seconds: dict[str, float] | None = None,
-    ) -> list[int | None]:
-        """Objective each pair's chosen solver holds at that timestep.
-
-        NO_SOLUTION choices are undefined.  When overheads are given, the
-        lookup index moves to the largest grid point that still fits before
-        t_j once the overhead is spent; if none fits, the value is
-        undefined.
+        ``labels`` is an (instance, timestep) array of solver indices; the
+        index ``len(solver_order)`` (NO_SOLUTION) gets 2.0 and rank -1.
+        With per-instance ``overhead`` seconds, the lookup moves to the
+        largest grid point that still fits before t_j once the overhead is
+        spent; where none fits, the pair gets 2.0 and rank -1 too.
         """
-        out: list[int | None] = []
-        points = self.grid.points
-        for iid, j in self.pairs:
-            choice = policy[(iid, j)]
-            if choice == NO_SOLUTION:
-                out.append(None)
-                continue
-            j_eff = j
-            if overhead_seconds is not None:
-                shifted = self.grid.floor_index(points[j] - overhead_seconds[iid])
-                if shifted is None:
-                    out.append(None)
-                    continue
-                j_eff = shifted
-            out.append(self.sampled[(iid, choice)][j_eff])
-        return out
-
-    def metric(self, values: list[int | None]) -> float:
-        return cumulative_metric(values, self.bounds_per_pair())
+        n, count, k = self.values.shape
+        steps = np.broadcast_to(np.arange(count), labels.shape)
+        if overhead is not None:
+            points = np.array(self.grid.points)
+            steps = np.searchsorted(points, points - overhead[:, None], side="right") - 1
+        at = (np.arange(n)[:, None], np.maximum(steps, 0), np.minimum(labels, k - 1))
+        chosen = (labels < k) & (steps >= 0)
+        return np.where(chosen, self.values[at], 2.0), np.where(chosen, self.ranks[at], -1)
 
 
 def context_from_trajectories(
@@ -172,42 +102,38 @@ def context_from_trajectories(
     solver_order: list[str],
     trajectories: dict[str, dict[str, Trajectory]],
 ) -> EvalContext:
-    """Build an evaluation context from per-instance, per-solver trajectories.
+    """Build an evaluation context from per-instance, per-solver trajectories,
+    keeping the mapping's instance order.
 
-    The evaluated pair set keeps exactly the (instance, timestep) pairs
-    where at least one solver holds a feasible solution.
+    Each instance is normalized by the extremes of every event of every
+    portfolio solver.  Raises ValueError for an instance whose sampled
+    values have no events to normalize them by.
     """
-    ids = sorted(trajectories)
-    sampled: dict[tuple[str, str], tuple[int | None, ...]] = {}
-    bounds: dict[str, InstanceBounds] = {}
-    pairs: list[Pair] = []
-    for iid in ids:
-        per_solver = trajectories[iid]
-        for sid in solver_order:
-            sampled[(iid, sid)] = per_solver[sid].sampled
-        bounds[iid] = compute_bounds([per_solver[sid] for sid in solver_order])
-        for j in range(grid.count):
-            if any(sampled[(iid, sid)][j] is not None for sid in solver_order):
-                pairs.append((iid, j))
-    return EvalContext(
-        grid=grid,
-        solver_order=solver_order,
-        instance_ids=ids,
-        sampled=sampled,
-        bounds=bounds,
-        pairs=pairs,
-    )
+    ids = list(trajectories)
+    shape = (len(ids), grid.count, len(solver_order))
+    values = np.full(shape, 2.0)
+    ranks = np.full(shape, -1, dtype=np.intp)
+    for i, iid in enumerate(ids):
+        trajs = [trajectories[iid][sid] for sid in solver_order]
+        ranks[i], distinct = rank_sampled([t.sampled for t in trajs])
+        if not distinct:
+            continue
+        events = [v for t in trajs for _, v in t.events]
+        if not events:
+            raise ValueError(f"instance {iid} has sampled values but no events")
+        lo, hi = min(events), max(events)
+        table = [0.0 if lo == hi else (v - lo) / (hi - lo) for v in distinct] + [2.0]
+        values[i] = np.array(table)[ranks[i]]
+    return EvalContext(grid, list(solver_order), ids, values, ranks)
 
 
 def build_context(
     ds: LabeledDataset, archive: RunArchive, part: str | None = TEST
 ) -> EvalContext:
-    """Load trajectories for one split and keep pairs some solver has solved."""
+    """Load the trajectories of one split's instances, in dataset order."""
     if part is not None and not ds.split:
         raise ValueError("dataset has no train/test split yet")
-    ids = sorted(
-        iid for iid in ds.instance_ids() if part is None or ds.split.get(iid) == part
-    )
+    ids = [iid for iid, keep in zip(ds.instance_ids, ds.part_mask(part)) if keep]
     trajectories = {
         iid: {sid: archive.read_trajectory(iid, sid) for sid in ds.solver_order}
         for iid in ids
@@ -217,16 +143,12 @@ def build_context(
 
 def pick_sbs(ctx: EvalContext, sbs: str = "auto") -> tuple[str, dict[str, float]]:
     """Resolve the single best solver and return all per-solver metrics."""
-    m_s = {sid: ctx.metric(ctx.solver_values(sid)) for sid in ctx.solver_order}
+    m_s = {sid: ctx.metric(ctx.values[:, :, s]) for s, sid in enumerate(ctx.solver_order)}
     if sbs != "auto":
         if sbs not in ctx.solver_order:
             raise ValueError(f"pinned SBS {sbs!r} is not a portfolio solver")
         return sbs, m_s
-    best = ctx.solver_order[0]
-    for sid in ctx.solver_order[1:]:
-        if m_s[sid] < m_s[best]:
-            best = sid
-    return best, m_s
+    return min(ctx.solver_order, key=m_s.__getitem__), m_s
 
 
 @dataclass
@@ -292,31 +214,23 @@ class EvalReport:
 
 
 def _per_timestep_series(
-    ctx: EvalContext,
-    sbs_values: list[int | None],
-    vbs_values: list[int | None],
-    policy_values: list[int | None],
-    overhead_values: list[int | None] | None,
+    evaluated: np.ndarray,
+    sbs: np.ndarray,
+    vbs: np.ndarray,
+    policy: np.ndarray,
+    overhead: np.ndarray | None,
 ) -> list[tuple[int, float | None, float | None]]:
-    buckets: dict[int, list[int]] = {}
-    for pos, (_, j) in enumerate(ctx.pairs):
-        buckets.setdefault(j, []).append(pos)
-    bounds = ctx.bounds_per_pair()
+    """Gap ratio at each timestep that holds an evaluated pair."""
     series = []
-    for j in sorted(buckets):
-        pos = buckets[j]
-        s = math.fsum(normalize(sbs_values[p], bounds[p]) for p in pos)
-        v = math.fsum(normalize(vbs_values[p], bounds[p]) for p in pos)
+    for j in np.flatnonzero(evaluated.any(axis=0)).tolist():
+        s, v, m, mo = (
+            None if a is None else math.fsum(a[evaluated[:, j], j].tolist())
+            for a in (sbs, vbs, policy, overhead)
+        )
         if s <= v:
             series.append((j, None, None))
-            continue
-        m = math.fsum(normalize(policy_values[p], bounds[p]) for p in pos)
-        plain = (m - v) / (s - v)
-        ov = None
-        if overhead_values is not None:
-            mo = math.fsum(normalize(overhead_values[p], bounds[p]) for p in pos)
-            ov = (mo - v) / (s - v)
-        series.append((j, plain, ov))
+        else:
+            series.append((j, (m - v) / (s - v), None if mo is None else (mo - v) / (s - v)))
     return series
 
 
@@ -332,7 +246,8 @@ def evaluate_selector(
     The replayed policy chooses, for each test row, the model's predicted
     solver and reads that solver's recorded objective at the row's
     timestep.  Per-instance overhead is the dataset's recorded feature
-    time plus one measured single prediction here.
+    time plus one measured single prediction here, on the instance's row
+    at timestep 0.
     """
     if model.vocabulary != ds.vocabulary():
         raise ValueError("model vocabulary does not match the dataset portfolio")
@@ -342,36 +257,25 @@ def evaluate_selector(
         raise ValueError("model was trained on a different timestep grid")
 
     ctx = build_context(ds, archive, TEST)
-    test_rows = ds.rows_for(TEST)
-    if not test_rows:
+    X, truth = ds.matrix(TEST)
+    if not len(truth):
         raise ValueError("dataset has no test rows")
 
-    # predictions for every test row; one timed single-row call per instance
-    X = ds.feature_matrix(test_rows)
     predicted = model.predict_batch(X)
+    labels = predicted.reshape(len(ctx.instance_ids), ds.grid.count)
     vocab = ds.vocabulary()
-    policy: dict[Pair, str] = {}
-    predict_seconds: dict[str, float] = {}
-    for row, cls in zip(test_rows, predicted):
-        policy[(row.instance_id, row.timestep_index)] = vocab[cls]
-        if overhead and row.instance_id not in predict_seconds:
-            t0 = time.perf_counter()
-            model.predict_values(row.features.full())
-            predict_seconds[row.instance_id] = time.perf_counter() - t0
-
-    truth = ds.label_indices(test_rows)
     k = len(vocab)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (truth, predicted), 1)
     accuracy = float((truth == predicted).sum() / len(truth))
 
     sbs_id, m_s = pick_sbs(ctx, sbs)
-    sbs_values = ctx.solver_values(sbs_id)
-    vbs_values = ctx.best_values()
+    sbs_index = ds.solver_order.index(sbs_id)
+    vbs_values = ctx.values.min(axis=2)
     m_sbs = m_s[sbs_id]
     m_vbs = ctx.metric(vbs_values)
 
-    policy_values = ctx.policy_values(policy)
+    policy_values, policy_ranks = ctx.choose(labels)
     m_ms = ctx.metric(policy_values)
     gap = m_hat(m_ms, m_sbs, m_vbs)
 
@@ -379,25 +283,29 @@ def evaluate_selector(
     m_ms_overhead = None
     gap_overhead = None
     if overhead:
-        overheads = {
-            iid: ds.feature_seconds.get(iid, 0.0) + predict_seconds.get(iid, 0.0)
-            for iid in ctx.instance_ids
-        }
-        overhead_values = ctx.policy_values(policy, overheads)
+        # the recorded feature time plus one timed single-row prediction
+        seconds = np.zeros(len(ctx.instance_ids))
+        for i, iid in enumerate(ctx.instance_ids):
+            row = tuple(X[i * ds.grid.count].tolist())
+            t0 = time.perf_counter()
+            model.predict_values(row)
+            seconds[i] = ds.feature_seconds.get(iid, 0.0) + (time.perf_counter() - t0)
+        overhead_values, _ = ctx.choose(labels, seconds)
         m_ms_overhead = ctx.metric(overhead_values)
         gap_overhead = m_hat(m_ms_overhead, m_sbs, m_vbs)
 
-    best_values = ctx.best_values()
+    evaluated = ctx.evaluated
+    best_ranks = np.where(ctx.ranks < 0, np.iinfo(np.intp).max, ctx.ranks).min(axis=2)[evaluated]
     breakdown = {
-        f"sbs:{sbs_id}": sbs_breakdown(sbs_values, best_values),
-        "selector": sbs_breakdown(policy_values, best_values),
+        f"sbs:{sbs_id}": sbs_breakdown(ctx.ranks[:, :, sbs_index][evaluated], best_ranks),
+        "selector": sbs_breakdown(policy_ranks[evaluated], best_ranks),
     }
 
     return EvalReport(
         solver_order=ds.solver_order,
         vocabulary=vocab,
-        n_pairs=len(ctx.pairs),
-        n_rows=len(test_rows),
+        n_pairs=int(evaluated.sum()),
+        n_rows=len(truth),
         m_s=m_s,
         sbs_id=sbs_id,
         m_sbs=m_sbs,
@@ -410,6 +318,6 @@ def evaluate_selector(
         confusion=confusion,
         breakdown=breakdown,
         per_timestep=_per_timestep_series(
-            ctx, sbs_values, vbs_values, policy_values, overhead_values
+            evaluated, ctx.values[:, :, sbs_index], vbs_values, policy_values, overhead_values
         ),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-from ..dataset import TRAIN, LabeledDataset
+from ..dataset import NO_SOLUTION, TRAIN, LabeledDataset
 from .boosting import fit_gradient_boosting
 from .forest import fit_random_forest
 from .knn import fit_knn
@@ -62,16 +62,13 @@ def train_model(
     fitting.  Tree families receive inverse-frequency class weights by
     default, KNN ignores weighting (it has no per-row weights).
     """
-    rows = ds.rows_for(TRAIN) if ds.split else ds.rows
-    if not include_no_solution:
-        from ..dataset import NO_SOLUTION
-
-        rows = [r for r in rows if r.label != NO_SOLUTION]
-    if not rows:
-        raise ValueError("no training rows (is the dataset split and non-empty?)")
+    X, y = ds.matrix(TRAIN if ds.split else None)
     vocab = ds.vocabulary()
-    X = ds.feature_matrix(rows)
-    y = ds.label_indices(rows)
+    if not include_no_solution:
+        keep = y != vocab.index(NO_SOLUTION)
+        X, y = X[keep], y[keep]
+    if not len(y):
+        raise ValueError("no training rows (is the dataset split and non-empty?)")
     weights = class_weights(y, class_weight_mode, len(vocab))
     params = hyperparams_for(family, ds.schema, overrides)
 
@@ -117,5 +114,5 @@ def train_model(
         seed=seed,
         model=model,
         mdi=mdi,
-        timings={"fit_seconds": elapsed, "n_rows": len(rows)},
+        timings={"fit_seconds": elapsed, "n_rows": len(y)},
     )

@@ -286,6 +286,10 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     sampled = tuple(
         None if tok == _NA else int(tok) for tok in lines[-1].split()[1:]
     )
+    if len(sampled) != meta["count"]:
+        raise ValueError(
+            f"sampled record holds {len(sampled)} values, expected {meta['count']}"
+        )
     traj = Trajectory(
         solver_id=meta["solver"],
         instance_id=meta["instance"],
@@ -314,6 +318,24 @@ def raw_log_from_text(text: str) -> list[tuple[float, str]]:
 def instance_id_for(path: str | Path, benchmark_id: str) -> str:
     stem = Path(path).stem
     return _UNSAFE_RE.sub("_", f"{benchmark_id}__{stem}")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``: a crash leaves either the old file or the whole new one.
+
+    Callers hold the archive lock, so the process id keeps the temporary
+    name apart from every other writer.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class RunArchive:
@@ -346,9 +368,20 @@ class RunArchive:
         return self.root / instance_id / _UNSAFE_RE.sub("_", solver_id)
 
     def register_instance(self, instance_id: str, benchmark_id: str, path: str) -> None:
+        """Add an instance to the manifest; registering it again is a no-op.
+
+        Raises ValueError when the id is already registered to another
+        (benchmark, path): both would run and overwrite one trajectory.
+        """
         with self._lock:
-            if instance_id in self._manifest:
+            known = self._manifest.get(instance_id)
+            if known == (benchmark_id, path):
                 return
+            if known is not None:
+                raise ValueError(
+                    f"instance id {instance_id} of {path} ({benchmark_id}) is already "
+                    f"registered to {known[1]} ({known[0]})"
+                )
             self._manifest[instance_id] = (benchmark_id, path)
             with open(self.root / "instances.tsv", "a") as fh:
                 fh.write(f"{instance_id}\t{benchmark_id}\t{path}\n")
@@ -366,8 +399,8 @@ class RunArchive:
         with self._lock:
             base.parent.mkdir(parents=True, exist_ok=True)
             if raw_lines is not None:
-                base.with_suffix(".log").write_text(raw_log_to_text(raw_lines))
-            base.with_suffix(".traj").write_text(trajectory_to_text(traj, self.grid))
+                _write_atomic(base.with_suffix(".log"), raw_log_to_text(raw_lines))
+            _write_atomic(base.with_suffix(".traj"), trajectory_to_text(traj, self.grid))
             base.with_suffix(".error").unlink(missing_ok=True)
 
     def read_trajectory(self, instance_id: str, solver_id: str) -> Trajectory:

@@ -6,10 +6,10 @@ import pytest
 from pbselect.dataset import (
     NO_SOLUTION,
     build_dataset,
-    label_pair,
     read_csv,
     split_by_benchmark,
     win_summary,
+    winner_labels,
     write_csv,
 )
 from pbselect.grid import make_grid
@@ -19,6 +19,14 @@ from gen import random_events
 from oracles import oracle_label
 
 ORDER = ["A", "B", "C"]
+
+
+def label_pair(samples, solver_order):
+    """Winner label of one timestep: ``samples`` maps solver id to its
+    (sampled objective, achievement time)."""
+    per_solver = [samples.get(sid, (None, None)) for sid in solver_order]
+    index = winner_labels([(v,) for v, _ in per_solver], [[at] for _, at in per_solver])
+    return (solver_order + [NO_SOLUTION])[index[0]]
 
 
 def test_label_strict_minimum():
@@ -255,3 +263,45 @@ def test_rows_ordered_by_benchmark_instance_timestep(tmp_path):
     assert keys == sorted(keys)
     pairs = {(r.instance_id, r.timestep_index) for r in ds.rows}
     assert len(pairs) == len(ds.rows)  # each pair appears at most once
+
+
+def test_winner_labels_reduce_every_timestep_at_once():
+    rng = random.Random(5)
+    for _ in range(200):
+        count = rng.randint(1, 6)
+        sampled, achieved = [], []
+        for _ in ORDER:
+            pairs = [(None, None) if rng.random() < 0.3 else (rng.randint(0, 3), rng.choice([0.5, 1.0]))
+                     for _ in range(count)]
+            sampled.append(tuple(v for v, _ in pairs))
+            achieved.append([at for _, at in pairs])
+        want = [
+            oracle_label([(sid, sampled[s][j], achieved[s][j]) for s, sid in enumerate(ORDER)])
+            for j in range(count)
+        ]
+        got = winner_labels(sampled, achieved)
+        assert [(ORDER + [NO_SOLUTION])[k] for k in got] == want
+
+
+def _rewrite_csv(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+def test_read_csv_rejects_inconsistent_instance_lines(tmp_path):
+    ds = split_by_benchmark(_dataset_with_benchmarks(tmp_path, [3]), seed=1)
+    out = tmp_path / "data.csv"
+    iid = ds.instance_ids[1]
+    # line 0 is the header; each instance holds grid.count = 2 lines
+    edits = {
+        "features": lambda lines: lines[:4] + [lines[4].replace(",1.0,", ",2.0,", 1)] + lines[5:],
+        "missing": lambda lines: lines[:4] + lines[5:],
+        "duplicate": lambda lines: lines[:4] + [lines[3]] + lines[5:],
+        "label": lambda lines: lines[:4] + [lines[4].replace(",A,", ",Z,")] + lines[5:],
+    }
+    for kind, edit in edits.items():
+        write_csv(ds, out)
+        assert read_csv(out).instance_ids == ds.instance_ids
+        _rewrite_csv(out, edit)
+        with pytest.raises(ValueError, match=iid):
+            read_csv(out)

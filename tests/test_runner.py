@@ -343,3 +343,62 @@ def test_duplicate_solver_ids_rejected():
 
 def test_instance_id_sanitized():
     assert instance_id_for("/data/set one/foo bar.opb", "set one") == "set_one__foo_bar"
+
+
+class _Unencodable(int):
+    """An objective that formats as a lone surrogate, which the UTF-8
+    encoder rejects: writing it fails part-way through a trajectory file."""
+
+    def __format__(self, spec):
+        return "\udc80"
+
+
+def test_failed_write_leaves_no_trajectory(tmp_path):
+    grid = make_grid(2, 10.0, 1.0)
+    archive = RunArchive(tmp_path / "a", grid)
+    with pytest.raises(UnicodeEncodeError):
+        archive.write_trajectory(_traj(((0.5, _Unencodable(3)),), grid), [(0.5, "o 3")])
+    assert not archive.has("i", "s")
+    # the log was whole before the trajectory write failed; no temporary file is left
+    assert [p.name for p in (tmp_path / "a" / "i").iterdir()] == ["s.log"]
+    archive.write_trajectory(_traj(((0.5, 3),), grid), [(0.5, "o 3")])
+    assert archive.read_trajectory("i", "s").events == ((0.5, 3),)
+
+
+def test_read_trajectory_rejects_short_sampled_record(tmp_path):
+    grid = make_grid(3, 10.0, 1.0)
+    archive = RunArchive(tmp_path / "a", grid)
+    archive.write_trajectory(_traj(((0.5, 3),), grid))
+    path = archive._pair_base("i", "s").with_suffix(".traj")
+    text = path.read_text()
+    assert text.endswith("sampled 3 3 3\n")
+    for record in ("sampled 3 3", "sampled 3 3 3 3", "sampled"):
+        path.write_text(text.replace("sampled 3 3 3", record))
+        with pytest.raises(ValueError, match="sampled"):
+            archive.read_trajectory("i", "s")
+
+
+def test_instance_id_collision_is_rejected(stub_solver, tmp_path):
+    grid = make_grid(2, 1.0, 0.2)
+    paths = []
+    for top in ("x", "y"):
+        p = tmp_path / top / "b0" / "i.opb"
+        p.parent.mkdir(parents=True)
+        p.write_text("* #variable= 1 #constraint= 1\nmin: +1 x1 ;\n+1 x1 >= 0 ;\n")
+        paths.append(p)
+    assert instance_id_for(paths[0], "b0") == instance_id_for(paths[1], "b0") == "b0__i"
+    with pytest.raises(ValueError, match="b0__i"):
+        run_portfolio(_portfolio(stub_solver), paths, grid, tmp_path / "arch")
+    assert list((tmp_path / "arch").glob("*/*")) == []  # no job was launched
+
+
+def test_registering_the_same_instance_again_is_a_no_op(tmp_path):
+    archive = RunArchive(tmp_path / "a", make_grid(2, 10.0, 1.0))
+    archive.register_instance("b0__i", "b0", "x/b0/i.opb")
+    archive.register_instance("b0__i", "b0", "x/b0/i.opb")
+    assert RunArchive(tmp_path / "a").instances() == [("b0__i", "b0", "x/b0/i.opb")]
+    with pytest.raises(ValueError, match="b0__i"):
+        archive.register_instance("b0__i", "b0", "y/b0/i.opb")
+    with pytest.raises(ValueError, match="b0__i"):
+        archive.register_instance("b0__i", "b1", "x/b0/i.opb")
+    assert RunArchive(tmp_path / "a").instances() == [("b0__i", "b0", "x/b0/i.opb")]
