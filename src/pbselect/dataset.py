@@ -22,12 +22,14 @@ import json
 import logging
 import math
 import random
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureVector, encode_timestep, extract_timed, feature_names
+from . import features
+from .features import FeatureVector, encode_timestep, feature_names
 from .grid import TimestepGrid, make_grid
 from .opb import MissingObjectiveError, OpbParseError, parse_opb_file
 from .runner import RunArchive
@@ -151,13 +153,14 @@ def build_dataset(
 
     Instances that fail to parse, lack an objective, or miss a trajectory
     for some portfolio solver are skipped and listed in the skip manifest.
-    Features are computed once per instance; their wall time is recorded
-    for overhead accounting.
+    Features are computed once per instance.  The wall time of parsing
+    the instance and computing them is recorded in ``feature_seconds``:
+    the preparation ``solve`` charges before it predicts.
     """
     grid = archive.grid
     ids: list[str] = []
     benches: list[str] = []
-    features: list[tuple[float, ...]] = []
+    table: list[tuple[float, ...]] = []
     labels: list[np.ndarray] = []
     feature_seconds: dict[str, float] = {}
     skipped: list[tuple[str, str]] = []
@@ -168,20 +171,20 @@ def build_dataset(
             skipped.append((iid, f"missing trajectory for solver {missing}"))
             continue
         trajs = [archive.read_trajectory(iid, sid) for sid in solver_order]
+        t0 = time.perf_counter()
         try:
             inst = parse_opb_file(path, benchmark_id=bench)
+            values = features.extract(inst, schema).values
         except (OSError, OpbParseError) as exc:
             skipped.append((iid, f"unparsable: {exc}"))
             continue
-        try:
-            fv, seconds = extract_timed(inst, schema)
         except MissingObjectiveError:
             skipped.append((iid, "no objective"))
             continue
-        feature_seconds[iid] = seconds
+        feature_seconds[iid] = time.perf_counter() - t0
         ids.append(iid)
         benches.append(bench)
-        features.append(fv.values)
+        table.append(values)
         labels.append(
             winner_labels([t.sampled for t in trajs], [t.achievement_times(grid) for t in trajs])
         )
@@ -190,7 +193,7 @@ def build_dataset(
     return LabeledDataset(
         instance_ids=ids,
         benchmark_ids=benches,
-        features=features,
+        features=table,
         labels=labels,
         schema=schema,
         encoding=encoding,

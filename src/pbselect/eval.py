@@ -17,10 +17,13 @@ which is 0 for a perfect (virtual-best) selector and 1 for always running
 the single best solver.  Accuracy and the confusion matrix, by contrast,
 cover every test row.
 
-With overhead accounting on, each instance's measured feature-extraction
-plus prediction seconds shift the trajectory lookup to the largest grid
-point t_j' with t_j' + overhead <= t_j, so the selector only gets credit
-for what its solver could produce in the remaining budget.
+With overhead accounting on, each instance's overhead shifts the
+trajectory lookup to the largest grid point t_j' with t_j' + overhead <=
+t_j, so the selector only gets credit for what its solver could produce
+in the remaining budget.  Overhead has one definition, shared with
+:func:`pbselect.metaselect.solve`: the seconds to parse the instance,
+compute its features and predict one row.  Loading the model is not
+charged.
 """
 
 from __future__ import annotations
@@ -245,9 +248,9 @@ def evaluate_selector(
 
     The replayed policy chooses, for each test row, the model's predicted
     solver and reads that solver's recorded objective at the row's
-    timestep.  Per-instance overhead is the dataset's recorded feature
-    time plus one measured single prediction here, on the instance's row
-    at timestep 0.
+    timestep.  Per-instance overhead is the parse and feature time the
+    dataset recorded plus one single prediction timed here, on the
+    instance's row at timestep 0.
     """
     if model.vocabulary != ds.vocabulary():
         raise ValueError("model vocabulary does not match the dataset portfolio")
@@ -283,7 +286,7 @@ def evaluate_selector(
     m_ms_overhead = None
     gap_overhead = None
     if overhead:
-        # the recorded feature time plus one timed single-row prediction
+        # the recorded parse and feature time plus one timed single-row prediction
         seconds = np.zeros(len(ctx.instance_ids))
         for i, iid in enumerate(ctx.instance_ids):
             row = tuple(X[i * ds.grid.count].tolist())

@@ -4,8 +4,11 @@ Three schemas are supported:
 
 * ``basic``     -- constraint and variable counts only (2 features).
 * ``nonlinear`` -- the full 14-feature set computed on the instance as-is.
-* ``linear``    -- the instance is linearized first, then the features tied
-                   to term degree become redundant and are dropped (9 left).
+* ``linear``    -- the features of the linearized instance (see
+                   :func:`pbselect.opb.linearize`), computed in closed form
+                   from the distinct products without linearizing; the
+                   features tied to term degree become redundant and are
+                   dropped (9 left).
 
 The full ordering is: number of constraints; number of variables; a 0/1
 flag for the presence of nonlinear (degree >= 2) terms; the fraction of
@@ -18,11 +21,10 @@ appended as the final entry.  Empty denominators yield 0, never NaN.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .grid import TimestepGrid
-from .opb import Instance, MissingObjectiveError, linearize
+from .opb import Instance, MissingObjectiveError
 
 BASIC = "basic"
 NONLINEAR = "nonlinear"
@@ -97,34 +99,53 @@ def _bucket(n: int) -> int:
     return min(n, 4) - 1
 
 
-def _nonlinear_values(inst: Instance) -> tuple[float, ...]:
+def _full_values(inst: Instance, linearized: bool) -> tuple[float, ...]:
+    """The full feature set of ``inst``, or of ``linearize(inst)`` without
+    building it: each distinct k-literal product becomes one variable and
+    k + 1 constraints, k of two terms and one of k + 1 terms, which hold
+    k + 1 positive-coefficient terms; every term then has degree 1."""
     if inst.objective is None:
         raise MissingObjectiveError(
             f"feature extraction needs an objective (instance {inst.source_name!r})"
         )
-    n_cons = len(inst.constraints)
+    degrees = [0, 0, 0, 0]
+    products = set()
+    pos_obj = 0
+    for t in inst.objective:
+        degrees[_bucket(len(t.literals))] += 1
+        if len(t.literals) > 1:
+            products.add(t.literals)
+        if t.coefficient > 0:
+            pos_obj += 1
     c_sizes = [0, 0, 0, 0]
+    pos_constr = n_constr_terms = 0
     for c in inst.constraints:
         if c.terms:
             c_sizes[_bucket(len(c.terms))] += 1
-    degrees = [0, 0, 0, 0]
-    pos_constr = n_constr_terms = 0
-    for c in inst.constraints:
+        n_constr_terms += len(c.terms)
         for t in c.terms:
-            degrees[_bucket(t.degree)] += 1
-            n_constr_terms += 1
+            degrees[_bucket(len(t.literals))] += 1
+            if len(t.literals) > 1:
+                products.add(t.literals)
             if t.coefficient > 0:
                 pos_constr += 1
+    n_cons, n_vars = len(inst.constraints), inst.num_variables
     n_obj_terms = len(inst.objective)
-    pos_obj = sum(1 for t in inst.objective if t.coefficient > 0)
-    for t in inst.objective:
-        degrees[_bucket(t.degree)] += 1
+    if linearized:
+        for p in products:
+            k = len(p)
+            n_cons += k + 1
+            c_sizes[1] += k
+            c_sizes[_bucket(k + 1)] += 1
+            n_constr_terms += 3 * k + 1
+            pos_constr += k + 1
+        n_vars += len(products)
+        degrees = [n_obj_terms + n_constr_terms, 0, 0, 0]
     total_terms = n_obj_terms + n_constr_terms
-    nonlinear_flag = 0.0 if all(t.degree == 1 for t in inst.all_terms()) else 1.0
     return (
         float(n_cons),
-        float(inst.num_variables),
-        nonlinear_flag,
+        float(n_vars),
+        float(bool(products) and not linearized),
         *(_frac(k, n_cons) for k in c_sizes),
         *(_frac(k, total_terms) for k in degrees),
         _frac(n_obj_terms, total_terms),
@@ -134,12 +155,12 @@ def _nonlinear_values(inst: Instance) -> tuple[float, ...]:
 
 
 def extract_nonlinear(inst: Instance) -> FeatureVector:
-    return FeatureVector(_nonlinear_values(inst), NONLINEAR)
+    return FeatureVector(_full_values(inst, linearized=False), NONLINEAR)
 
 
 def extract_linear(inst: Instance) -> FeatureVector:
-    """Linearize, compute the full set, then drop the degree-related entries."""
-    values = _nonlinear_values(linearize(inst))
+    """The full set of the linearized instance, minus the degree-related entries."""
+    values = _full_values(inst, linearized=True)
     return FeatureVector(tuple(values[i] for i in _LINEAR_KEEP), LINEAR)
 
 
@@ -156,13 +177,6 @@ def extract(inst: Instance, schema: str) -> FeatureVector:
     except KeyError:
         raise ValueError(f"unknown feature schema {schema!r}") from None
     return fn(inst)
-
-
-def extract_timed(inst: Instance, schema: str) -> tuple[FeatureVector, float]:
-    """Extract and report wall-clock seconds, for overhead accounting."""
-    t0 = time.perf_counter()
-    fv = extract(inst, schema)
-    return fv, time.perf_counter() - t0
 
 
 def encode_timestep(index: int, grid: TimestepGrid, encoding: str = "index") -> float:

@@ -27,14 +27,20 @@ class KnnModel:
         """Vote shares of the k nearest training rows, a chunk of queries at a time."""
         Q = self._transform(np.asarray(X, dtype=np.float64))
         chunk = max(1, _CHUNK_CELLS // self.X.size)
+        one_hot = np.eye(self.n_classes)[self.y]
         parts = []
         for start in range(0, max(len(Q), 1), chunk):
             q = Q[start:start + chunk]
             distances = np.sqrt(((self.X[None, :, :] - q[:, None, :]) ** 2).sum(axis=2))
-            # stable sort keeps the earlier-indexed row on distance ties
-            nearest = np.argsort(distances, axis=1, kind="stable")[:, : self.k]
-            votes = self.y[nearest][:, :, None] == np.arange(self.n_classes)
-            parts.append(votes.sum(axis=1) / self.k)
+            kth = np.partition(distances, self.k - 1, axis=1)[:, self.k - 1, None]
+            # every row strictly closer than the k-th distance, then the
+            # earliest-indexed rows at exactly that distance, as a stable
+            # sort of the distances would take them
+            closer = distances < kth
+            tied = distances == kth
+            room = self.k - closer.sum(axis=1, keepdims=True)
+            nearest = closer | (tied & (np.cumsum(tied, axis=1) <= room))
+            parts.append((nearest @ one_hot) / self.k)
         return np.concatenate(parts)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The runtime meta-solver: pick a solver for a budget, then run it.
 
 The budget maps to the largest grid point at or below it (budgets smaller
-than the first grid point clamp to index 0 with a warning).  Everything
-spent on preparation -- parsing, feature extraction (including
-linearization for linear-schema models) and prediction -- is deducted from
-the budget before the chosen solver is launched.
+than the first grid point clamp to index 0 with a warning).  Preparation
+is deducted from the budget before the chosen solver is launched.  It is
+the overhead the evaluator charges (see :mod:`pbselect.eval`): parsing
+the instance, computing its features and predicting one row, but not
+loading the model.
 """
 
 from __future__ import annotations

@@ -19,6 +19,10 @@ constraints only ever use ``>=`` and ``=``.
 Coefficients and right-hand sides are Python ints, so arbitrary-precision
 ("BIGINT") instances round-trip without truncation.  All model types are
 immutable and safe to share across threads.
+
+The parser splits each line on whitespace and keeps no positions: an
+error is raised with a statement and token number, and its line and
+column are computed from the text only then.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from pathlib import Path
 GEQ = ">="
 EQ = "="
 
-_COEFF_RE = re.compile(r"[+-]?\d+\Z")
-_LITERAL_RE = re.compile(r"(~?)x(\d+)\Z")
 _HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
 
 
@@ -68,10 +70,13 @@ class Term:
             raise ValueError("term coefficient must be nonzero")
         if not self.literals:
             raise ValueError("term must have at least one literal")
-        indices = [v for v, _ in self.literals]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("term literals must have strictly increasing variable indices")
-        if any(v < 1 for v in indices):
+        first = self.literals[0][0]
+        prev = first - 1
+        for var, _ in self.literals:
+            if var <= prev:
+                raise ValueError("term literals must have strictly increasing variable indices")
+            prev = var
+        if first < 1:
             raise ValueError("variable indices must be >= 1")
 
     @property
@@ -150,180 +155,234 @@ def is_linear(inst: Instance) -> bool:
     return all(t.degree == 1 for t in inst.all_terms())
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    column: int
+_RELATIONS = (">=", "<=", "=", ">", "<")
+_ACCEPTED = (">=", "<=", "=")
 
 
-def _tokenize(text: str):
-    """Yield statement token lists; ``;`` terminates a statement.
+class _Misplaced(Exception):
+    """A parse error as (reason, statement number, token number);
+    ``parse_opb`` turns it into an :class:`OpbParseError` with line and
+    column."""
 
-    Also returns the header counts, if a standard header comment was seen.
-    Raises on a trailing unterminated statement.
-    """
+
+def _is_coefficient(tok: str) -> bool:
+    """``[+-]?`` then decimal digits, the shape ``int`` reads exactly."""
+    return (tok[1:] if tok[0] in "+-" else tok).isdecimal()
+
+
+def _literal(tok: str) -> tuple[int, bool] | None:
+    """``(index, negated)`` of an ``x<i>`` or ``~x<i>`` token, else None."""
+    if tok[0] == "x":
+        digits, negated = tok[1:], False
+    elif tok[:2] == "~x":
+        digits, negated = tok[2:], True
+    else:
+        return None
+    return (int(digits), negated) if digits.isdecimal() else None
+
+
+def _statements(text: str) -> tuple[list[list[str]], tuple[int, int] | None]:
+    """Token lists of the ``;``-terminated statements, and the header counts
+    if a standard header comment was seen."""
     header: tuple[int, int] | None = None
-    pending: list[_Token] = []
-    statements: list[list[_Token]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.lstrip()
-        if not stripped:
+    pending: list[str] = []
+    statements: list[list[str]] = []
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if not tokens:
             continue
-        if stripped.startswith("*"):
+        if tokens[0][0] == "*":
             if header is None:
-                m = _HEADER_RE.match(stripped)
+                m = _HEADER_RE.match(raw.lstrip())
                 if m:
                     header = (int(m.group(1)), int(m.group(2)))
+            continue
+        ends = raw.count(";")
+        if not ends:
+            pending += tokens
+            continue
+        last = tokens[-1]
+        if ends == 1 and last[-1] == ";":  # the usual line: one statement's end
+            pending += tokens
+            if last == ";":
+                pending.pop()
+                if not pending:
+                    raise _Misplaced("empty statement", len(statements), 0)
+            else:
+                pending[-1] = last[:-1]
+            statements.append(pending)
+            pending = []
+            continue
+        for tok in tokens:
+            if tok != ";" and tok.endswith(";"):
+                pending.append(tok[:-1])
+                tok = ";"
+            if tok == ";":
+                if not pending:
+                    raise _Misplaced("empty statement", len(statements), 0)
+                statements.append(pending)
+                pending = []
+            else:
+                pending.append(tok)
+    if pending:
+        raise _Misplaced("statement missing ';' terminator", len(statements), len(pending) - 1)
+    return statements, header
+
+
+def _position(text: str, statement: int, token: int) -> tuple[int, int]:
+    """Line and column of a statement's token, its ``;`` counting as the
+    token after its last; the one scan that tracks positions."""
+    s = k = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.lstrip()
+        if not stripped or stripped.startswith("*"):
             continue
         for m in re.finditer(r"\S+", raw):
             tok, col = m.group(), m.start() + 1
             if tok != ";" and tok.endswith(";"):
-                pending.append(_Token(tok[:-1], lineno, col))
+                if (s, k) == (statement, token):
+                    return lineno, col
+                k += 1
                 tok, col = ";", col + len(tok) - 1
-            if tok == ";":
-                if not pending:
-                    raise OpbParseError("empty statement", lineno, col)
-                statements.append(pending)
-                pending = []
-            else:
-                pending.append(_Token(tok, lineno, col))
-    if pending:
-        last = pending[-1]
-        raise OpbParseError(
-            "statement missing ';' terminator", last.line, last.column
-        )
-    return statements, header
+            if (s, k) == (statement, token):
+                return lineno, col
+            s, k = (s + 1, 0) if tok == ";" else (s, k + 1)
+    raise ValueError(f"no token {token} in statement {statement}")
 
 
-class _TermParser:
-    """Parses term lists and tracks the largest variable index seen."""
+def _literal_error(stmt: list[str], head: int, s: int) -> _Misplaced | None:
+    """The first index below 1 or repeated index in the literals after the
+    coefficient at token ``head``, in document order."""
+    seen: set[int] = set()
+    for k in range(head + 1, len(stmt)):
+        lit = _literal(stmt[k])
+        if lit is None:
+            break
+        var = lit[0]
+        if var < 1:
+            return _Misplaced("variable index must be >= 1", s, k)
+        if var in seen:
+            return _Misplaced(f"variable x{var} appears twice in one term", s, k)
+        seen.add(var)
+    return None
 
-    def __init__(self):
-        self.max_var = 0
-        self.max_var_token: _Token | None = None
 
-    def parse(self, tokens: list[_Token], where: _Token) -> tuple[Term, ...]:
-        terms: list[Term] = []
-        raw_count = 0
-        i = 0
-        while i < len(tokens):
-            head = tokens[i]
-            if not _COEFF_RE.match(head.text):
-                raise OpbParseError(
-                    f"expected coefficient, got {head.text!r}", head.line, head.column
-                )
-            coeff = int(head.text)
-            i += 1
-            lits: list[tuple[int, bool]] = []
-            seen: set[int] = set()
-            while i < len(tokens):
-                m = _LITERAL_RE.match(tokens[i].text)
-                if not m:
-                    break
-                var = int(m.group(2))
-                if var < 1:
-                    raise OpbParseError(
-                        "variable index must be >= 1", tokens[i].line, tokens[i].column
-                    )
-                if var in seen:
-                    raise OpbParseError(
-                        f"variable x{var} appears twice in one term",
-                        tokens[i].line,
-                        tokens[i].column,
-                    )
-                seen.add(var)
-                if var > self.max_var:
-                    self.max_var = var
-                    self.max_var_token = tokens[i]
-                lits.append((var, m.group(1) == "~"))
-                i += 1
+def _term(stmt: list[str], head: int, lits: list, negate: bool, s: int) -> Term | None:
+    """The term whose coefficient is token ``head``; None when that is zero,
+    as zero-coefficient terms are normalized away."""
+    coeff = int(stmt[head])
+    if coeff == 0:
+        error = _literal_error(stmt, head, s)
+        if error is not None:
+            raise error
+        return None
+    lits.sort()
+    try:
+        return Term(-coeff if negate else coeff, tuple(lits))
+    except ValueError:
+        raise _literal_error(stmt, head, s) from None
+
+
+def _terms(
+    stmt: list[str], start: int, stop: int, negate: bool, s: int
+) -> tuple[list[Term], int]:
+    """The terms in tokens ``start:stop`` of statement ``s``, negated for a
+    ``<=`` constraint, and the largest variable index they use."""
+    terms: list[Term] = []
+    top = 0
+    head = -1  # token index of the open term's coefficient
+    lits: list[tuple[int, bool]] = []
+    for k in range(start, stop):
+        tok = stmt[k]
+        lit = _literal(tok) if head >= 0 else None
+        if lit is not None:
+            lits.append(lit)
+            if lit[0] > top:
+                top = lit[0]
+            continue
+        if head >= 0:
             if not lits:
-                if i < len(tokens):
-                    bad = tokens[i]
-                    raise OpbParseError(
-                        f"expected literal, got {bad.text!r}", bad.line, bad.column
-                    )
-                raise OpbParseError(
-                    f"term with coefficient {head.text} has no literals",
-                    head.line,
-                    head.column,
-                )
-            raw_count += 1
-            if coeff != 0:  # zero-coefficient terms are normalized away
-                terms.append(Term(coeff, tuple(sorted(lits))))
-        if raw_count == 0:
-            raise OpbParseError("statement has no terms", where.line, where.column)
-        return tuple(terms)
+                raise _Misplaced(f"expected literal, got {tok!r}", s, k)
+            term = _term(stmt, head, lits, negate, s)
+            if term is not None:
+                terms.append(term)
+        if not _is_coefficient(tok):
+            raise _Misplaced(f"expected coefficient, got {tok!r}", s, k)
+        head, lits = k, []
+    if head < 0:
+        raise _Misplaced("statement has no terms", s, 0)
+    if not lits:
+        raise _Misplaced(f"term with coefficient {stmt[head]} has no literals", s, head)
+    term = _term(stmt, head, lits, negate, s)
+    if term is not None:
+        terms.append(term)
+    return terms, top
 
 
-def parse_opb(text: str | bytes, source_name: str = "", benchmark_id: str = "") -> Instance:
-    """Parse an OPB document into a validated :class:`Instance`."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    statements, header = _tokenize(text)
+def _relation_error(stmt: list[str], s: int) -> _Misplaced | None:
+    """The first relation or right-hand-side error of a constraint."""
+    at = [k for k, tok in enumerate(stmt) if tok in _RELATIONS]
+    if not at:
+        return _Misplaced("constraint has no relation", s, 0)
+    if len(at) > 1:
+        return _Misplaced("multiple relations in one constraint", s, at[1])
+    ri, rel = at[0], stmt[at[0]]
+    if rel not in _ACCEPTED:
+        return _Misplaced(f"relation {rel!r} not allowed (use >=, <= or =)", s, ri)
+    if ri != len(stmt) - 2:
+        return _Misplaced("expected a single right-hand side after the relation", s, ri)
+    if not _is_coefficient(stmt[-1]):
+        return _Misplaced(f"malformed right-hand side {stmt[-1]!r}", s, len(stmt) - 1)
+    return None
 
-    tp = _TermParser()
+
+def _first_use(statements: list[list[str]], var: int) -> tuple[int, int]:
+    """Statement and token number of the first literal of ``var``."""
+    for s, stmt in enumerate(statements):
+        for k, tok in enumerate(stmt):
+            lit = _literal(tok)
+            if lit is not None and lit[0] == var:
+                return s, k
+    raise ValueError(f"x{var} does not occur")
+
+
+def _parse(text: str, source_name: str, benchmark_id: str) -> Instance:
+    statements, header = _statements(text)
     objective: tuple[Term, ...] | None = None
     constraints: list[Constraint] = []
-    for stmt in statements:
-        first = stmt[0]
-        if first.text == "min:":
+    top = 0
+    for s, stmt in enumerate(statements):
+        n = len(stmt)
+        if stmt[0] == "min:":
             if objective is not None:
-                raise OpbParseError("multiple objective lines", first.line, first.column)
-            if len(stmt) > 1:
-                objective = tp.parse(stmt[1:], first)
-            else:
-                objective = ()
-            continue
-        rel_positions = [
-            i for i, t in enumerate(stmt) if t.text in (">=", "<=", "=", ">", "<")
-        ]
-        if not rel_positions:
-            raise OpbParseError("constraint has no relation", first.line, first.column)
-        if len(rel_positions) > 1:
-            bad = stmt[rel_positions[1]]
-            raise OpbParseError("multiple relations in one constraint", bad.line, bad.column)
-        ri = rel_positions[0]
-        rel_tok = stmt[ri]
-        if rel_tok.text in (">", "<"):
-            raise OpbParseError(
-                f"relation {rel_tok.text!r} not allowed (use >=, <= or =)",
-                rel_tok.line,
-                rel_tok.column,
-            )
-        if ri != len(stmt) - 2:
-            raise OpbParseError(
-                "expected a single right-hand side after the relation",
-                rel_tok.line,
-                rel_tok.column,
-            )
-        rhs_tok = stmt[-1]
-        if not _COEFF_RE.match(rhs_tok.text):
-            raise OpbParseError(
-                f"malformed right-hand side {rhs_tok.text!r}", rhs_tok.line, rhs_tok.column
-            )
-        rhs = int(rhs_tok.text)
-        terms = tp.parse(stmt[:ri], first)
-        if rel_tok.text == "<=":
-            terms = tuple(Term(-t.coefficient, t.literals) for t in terms)
-            rhs = -rhs
-            relation = GEQ
+                raise _Misplaced("multiple objective lines", s, 0)
+            terms, used = _terms(stmt, 1, n, False, s) if n > 1 else ((), 0)
+            objective = tuple(terms)
+        elif n >= 2 and stmt[-2] in _ACCEPTED and _is_coefficient(stmt[-1]):
+            try:
+                terms, used = _terms(stmt, 0, n - 2, stmt[-2] == "<=", s)
+            except _Misplaced as exc:
+                # a relation error comes first, wherever it is
+                raise _relation_error(stmt, s) or exc
+            rhs, relation = int(stmt[-1]), stmt[-2]
+            if relation == "<=":
+                rhs, relation = -rhs, GEQ
+            constraints.append(Constraint(tuple(terms), relation, rhs))
         else:
-            relation = rel_tok.text
-        constraints.append(Constraint(terms, relation, rhs))
+            # a statement of any other shape has a relation error
+            raise _relation_error(stmt, s)
+        if used > top:
+            top = used
 
     if header is not None:
         num_vars, declared_cons = header
-        if tp.max_var > num_vars:
-            bad = tp.max_var_token
-            raise OpbParseError(
-                f"undeclared variable x{tp.max_var} (header declares {num_vars})",
-                bad.line,
-                bad.column,
+        if top > num_vars:
+            raise _Misplaced(
+                f"undeclared variable x{top} (header declares {num_vars})",
+                *_first_use(statements, top),
             )
     else:
-        num_vars, declared_cons = tp.max_var, len(constraints)
+        num_vars, declared_cons = top, len(constraints)
 
     return Instance(
         objective=objective,
@@ -333,6 +392,17 @@ def parse_opb(text: str | bytes, source_name: str = "", benchmark_id: str = "") 
         source_name=source_name,
         benchmark_id=benchmark_id,
     )
+
+
+def parse_opb(text: str | bytes, source_name: str = "", benchmark_id: str = "") -> Instance:
+    """Parse an OPB document into a validated :class:`Instance`."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        return _parse(text, source_name, benchmark_id)
+    except _Misplaced as exc:
+        reason, statement, token = exc.args
+        raise OpbParseError(reason, *_position(text, statement, token)) from None
 
 
 def parse_opb_file(path: str | Path, benchmark_id: str | None = None) -> Instance:

@@ -1,8 +1,10 @@
 import math
 import random
+import time
 
 import pytest
 
+from pbselect import dataset
 from pbselect.dataset import (
     NO_SOLUTION,
     build_dataset,
@@ -111,6 +113,24 @@ def test_build_dataset_rows_and_labels(tmp_path):
     labels = [r.label for r in ds.rows[:4]]
     assert labels == ["A", "B", "B", "A"]
     assert all(iid in ds.feature_seconds for iid, _, _ in paths)
+
+
+def test_feature_seconds_charge_parsing_like_solve(tmp_path, monkeypatch):
+    # solve charges parse + features before predicting; so must the dataset
+    grid = make_grid(3, 100.0, 1.0)
+    p = _write_instance(tmp_path, "b0", "slow")
+    iid = instance_id_for(p, "b0")
+    events = {(iid, "A"): [(0.5, 3)], (iid, "B"): []}
+    archive = _synthetic_archive(tmp_path, grid, events, [(iid, "b0", p)])
+    parse = dataset.parse_opb_file
+
+    def slow_parse(*args, **kwargs):
+        time.sleep(0.05)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "parse_opb_file", slow_parse)
+    ds = build_dataset(archive, "basic", ["A", "B"])
+    assert ds.feature_seconds[iid] >= 0.05
 
 
 def test_build_dataset_single_dominator(tmp_path):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbselect.features import (
     SCHEMAS,
@@ -11,11 +13,10 @@ from pbselect.features import (
     extract_basic,
     extract_linear,
     extract_nonlinear,
-    extract_timed,
     feature_names,
 )
 from pbselect.grid import make_grid
-from pbselect.opb import Instance, MissingObjectiveError, linearize, parse_opb
+from pbselect.opb import Constraint, Instance, MissingObjectiveError, Term, linearize, parse_opb
 
 from gen import random_instance
 
@@ -82,6 +83,56 @@ def test_linear_counts_follow_linearization():
     assert extract_nonlinear(lin).values[11] == fv.values[6]  # obj_size carried over
 
 
+def _projected_linearization(inst):
+    full = extract_nonlinear(linearize(inst)).values
+    return tuple(full[i] for i in (0, 1, 3, 4, 5, 6, 11, 12, 13))
+
+
+@st.composite
+def _instances(draw):
+    """Instances of degree 1 to 3 over a small pool of products, so that
+    products repeat across constraints, occur only in the objective, or
+    share variables; constraints may be empty."""
+    n_vars = draw(st.integers(3, 8))
+    literal = st.tuples(st.integers(1, n_vars), st.booleans())
+    products = draw(
+        st.lists(
+            st.lists(literal, min_size=1, max_size=3, unique_by=lambda lit: lit[0]).map(
+                lambda lits: tuple(sorted(lits))
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    term = st.builds(Term, st.integers(-3, 3).filter(bool), st.sampled_from(products))
+    objective = draw(st.lists(term, min_size=1, max_size=4))
+    constraints = draw(
+        st.lists(
+            st.builds(
+                Constraint,
+                st.lists(term, max_size=5).map(tuple),
+                st.sampled_from([">=", "="]),
+                st.integers(-5, 5),
+            ),
+            max_size=6,
+        )
+    )
+    return Instance(tuple(objective), tuple(constraints), n_vars, len(constraints))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instances())
+def test_linear_closed_form_equals_linearize(inst):
+    assert extract(inst, "linear").values == _projected_linearization(inst)
+
+
+def test_linear_closed_form_on_generated_instances():
+    rng = random.Random(77)
+    for _ in range(300):
+        inst = random_instance(rng, max_vars=rng.choice([3, 6, 20]), max_degree=3)
+        assert extract(inst, "linear").values == _projected_linearization(inst)
+
+
 def test_basic_ignores_linearization():
     doc = "* #variable= 2 #constraint= 1\nmin: +3 x1 x2 ;\n+1 x1 >= 0 ;\n"
     assert extract_basic(parse_opb(doc)).values == (1.0, 2.0)
@@ -145,12 +196,6 @@ def test_reordering_invariance():
             declared_constraints=inst.declared_constraints,
         )
         assert extract_nonlinear(shuffled).values == extract_nonlinear(inst).values
-
-
-def test_extract_timed_reports_wall_time():
-    fv, seconds = extract_timed(parse_opb(TOY), "nonlinear")
-    assert fv.values == TOY_VECTOR
-    assert seconds >= 0.0
 
 
 def test_vector_schema_validation():

@@ -236,6 +236,32 @@ def test_knn_distance_tie_includes_earlier_row():
     assert model.predict(np.array([[1.0], [1.0]])).tolist() == [1, 1]
 
 
+def _stable_knn_proba(model, X):
+    """Vote shares of the first k rows of a stable sort of the distances."""
+    Q = (X - model.mean) / model.std if model.standardize else X
+    distances = np.sqrt(((model.X[None, :, :] - Q[:, None, :]) ** 2).sum(axis=2))
+    nearest = np.argsort(distances, axis=1, kind="stable")[:, : model.k]
+    votes = model.y[nearest][:, :, None] == np.arange(model.n_classes)
+    return votes.sum(axis=1) / model.k
+
+
+def test_knn_tie_group_cut_at_kth_boundary():
+    # distances 0, 1, 1, 1, 2: k=3 keeps row 0 and the first two rows at 1
+    X = np.array([[0.0], [1.0], [-1.0], [1.0], [2.0]])
+    y = np.array([0, 1, 2, 2, 2])
+    model = fit_knn(X, y, 3, 3, standardize=False)
+    assert model.predict_proba(np.array([[0.0]])).tolist() == [[1 / 3, 1 / 3, 1 / 3]]
+    # integer features full of ties, against the stable-sort reference
+    rng = np.random.default_rng(9)
+    X = rng.integers(0, 3, size=(200, 3)).astype(float)
+    y = rng.integers(0, 4, size=200)
+    Q = rng.integers(0, 3, size=(60, 3)).astype(float)
+    for k in (1, 5, 21, 200):
+        for standardize in (False, True):
+            model = fit_knn(X, y, k, 4, standardize=standardize)
+            assert model.predict_proba(Q).tobytes() == _stable_knn_proba(model, Q).tobytes()
+
+
 def test_knn_vote_tie_breaks_by_class_order():
     X = np.array([[0.0], [0.2], [1.0], [1.2]])
     y = np.array([1, 1, 0, 0])

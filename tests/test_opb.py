@@ -72,27 +72,49 @@ def test_header_optional_counts_inferred():
     assert inst.declared_constraints == 1
 
 
+_PARSE_ERRORS = [
+    # (document, message fragment, line, column) of the raised OpbParseError
+    (HEADER + "+1 y1 >= 1 ;\n", "literal", 2, 4),  # malformed token
+    (HEADER + "+1 x9 >= 1 ;\n", "undeclared variable x9", 2, 4),
+    (HEADER + "+1 x1 x1 >= 1 ;\n", "twice", 2, 7),
+    (HEADER + "+1 x1 ~x1 >= 1 ;\n", "twice", 2, 7),
+    (HEADER + "+1 x1 >= 1\n", "terminator", 2, 10),
+    (HEADER + "+1 x1 > 1 ;\n", "relation", 2, 7),
+    (HEADER + "+1 x1 == 1 ;\n", "relation", 2, 1),
+    (HEADER + "+1 x1 >= ;\n", "right-hand side", 2, 7),
+    (HEADER + "min: +1 x1 ;\nmin: +1 x2 ;\n", "multiple objective", 3, 1),
+    (HEADER + ">= 1 ;\n", "no terms", 2, 1),
+    (HEADER + "+1 >= 1 ;\n", "no literals", 2, 1),
+    (HEADER + "+1 x0 >= 1 ;\n", ">= 1", 2, 4),
+    # glued terminators: the token before the ';' keeps its own column
+    (HEADER + "min: +1 x9;\n", "undeclared variable x9", 2, 9),
+    (HEADER + "+1 x1 >= y;\n", "right-hand side 'y'", 2, 10),
+    # a statement spanning lines, two statements on one line, a comment line
+    (HEADER + "+1 x1\n+2 y2 >= 1 ;\n", "expected literal, got 'y2'", 3, 4),
+    (HEADER + "+1 x1\n+1 x2 >= 1\n", "terminator", 3, 10),
+    (HEADER + "+1 x1 >= 1 ; +1 x2 > 1 ;\n", "relation '>'", 2, 20),
+    (HEADER + "* a comment\n+1 x1 x1 >= 1 ;\n", "twice", 3, 7),
+    # '<=' constraints are negated, their positions are not
+    (HEADER + "+1 x1 -1 x7 <= 1 ;\n", "undeclared variable x7", 2, 10),
+    (HEADER + "+1 x1 +2 zz <= 1 ;\n", "expected literal, got 'zz'", 2, 10),
+    # the first occurrence of the largest index is the one reported
+    (HEADER + "+1 x5 >= 1 ;\n+1 x2 +1 x5 >= 1 ;\n", "undeclared variable x5", 2, 4),
+    (HEADER + "  ;\n", "empty statement", 2, 3),
+    (HEADER + "+1 x1 >= 1 = 2 ;\n", "multiple relations", 2, 12),
+    (HEADER + "x1 >= 1 ;\n", "expected coefficient, got 'x1'", 2, 1),
+]
+
+
 @pytest.mark.parametrize(
-    "doc,fragment",
-    [
-        (HEADER + "+1 y1 >= 1 ;\n", "literal"),  # malformed token
-        (HEADER + "+1 x9 >= 1 ;\n", "undeclared variable x9"),
-        (HEADER + "+1 x1 x1 >= 1 ;\n", "twice"),
-        (HEADER + "+1 x1 ~x1 >= 1 ;\n", "twice"),
-        (HEADER + "+1 x1 >= 1\n", "terminator"),
-        (HEADER + "+1 x1 > 1 ;\n", "relation"),
-        (HEADER + "+1 x1 == 1 ;\n", "relation"),
-        (HEADER + "+1 x1 >= ;\n", "right-hand side"),
-        (HEADER + "min: +1 x1 ;\nmin: +1 x2 ;\n", "multiple objective"),
-        (HEADER + ">= 1 ;\n", "no terms"),
-        (HEADER + "+1 >= 1 ;\n", "no literals"),
-        (HEADER + "+1 x0 >= 1 ;\n", ">= 1"),
-    ],
+    "doc,fragment,line,column",
+    _PARSE_ERRORS,
+    ids=[f"{doc}-{fragment}" for doc, fragment, _, _ in _PARSE_ERRORS],
 )
-def test_parse_errors(doc, fragment):
+def test_parse_errors(doc, fragment, line, column):
     with pytest.raises(OpbParseError) as err:
         parse_opb(doc)
     assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_error_carries_position():
