@@ -75,16 +75,6 @@ class FeatureVector:
                 f"got {len(self.values)}"
             )
 
-    def full(self) -> tuple[float, ...]:
-        """Values including the timestep feature when one is attached."""
-        if self.timestep is None:
-            return self.values
-        return self.values + (self.timestep,)
-
-    def names(self) -> tuple[str, ...]:
-        base = SCHEMAS[self.schema]
-        return base + (TIMESTEP_FEATURE,) if self.timestep is not None else base
-
 
 def feature_names(schema: str, with_timestep: bool = True) -> tuple[str, ...]:
     base = SCHEMAS[schema]
@@ -187,10 +177,3 @@ def encode_timestep(index: int, grid: TimestepGrid, encoding: str = "index") -> 
     if encoding == "seconds":
         return grid.points[index]
     raise ValueError(f"unknown timestep encoding {encoding!r}")
-
-
-def append_timestep(
-    fv: FeatureVector, index: int, grid: TimestepGrid, encoding: str = "index"
-) -> FeatureVector:
-    """Return a copy of ``fv`` with the encoded timestep as its last feature."""
-    return FeatureVector(fv.values, fv.schema, encode_timestep(index, grid, encoding))

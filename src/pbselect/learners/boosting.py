@@ -61,35 +61,6 @@ class GradientBoostingModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "init_scores": self.init_scores,
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "max_features": self.max_features,
-            "seed": self.seed,
-            "class_weight": self.class_weight,
-            "trees": self.trees.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GradientBoostingModel":
-        return cls(
-            init_scores=list(data["init_scores"]),
-            trees=TreeEnsemble.from_dict(data["trees"], 1, data["n_features"]),
-            n_features=data["n_features"],
-            n_classes=data["n_classes"],
-            n_estimators=data["n_estimators"],
-            learning_rate=data["learning_rate"],
-            max_depth=data["max_depth"],
-            max_features=data["max_features"],
-            seed=data["seed"],
-            class_weight=list(data["class_weight"]),
-        )
-
 
 def _weighted_cross_entropy(probs: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     p = np.clip(probs[np.arange(len(y)), y], 1e-15, None)

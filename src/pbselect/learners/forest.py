@@ -31,29 +31,6 @@ class ForestModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "n_estimators": self.n_estimators,
-            "max_features": self.max_features,
-            "seed": self.seed,
-            "class_weight": self.class_weight,
-            "trees": self.trees.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ForestModel":
-        return cls(
-            trees=TreeEnsemble.from_dict(data["trees"], data["n_classes"], data["n_features"]),
-            n_features=data["n_features"],
-            n_classes=data["n_classes"],
-            n_estimators=data["n_estimators"],
-            max_features=data["max_features"],
-            seed=data["seed"],
-            class_weight=list(data["class_weight"]),
-        )
-
 
 def fit_random_forest(
     X: np.ndarray,

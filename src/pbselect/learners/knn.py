@@ -47,29 +47,6 @@ class KnnModel:
         # argmax takes the lowest class index on a vote tie
         return np.argmax(self.predict_proba(X), axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "X": self.X.tolist(),
-            "y": self.y.tolist(),
-            "k": self.k,
-            "n_classes": self.n_classes,
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "standardize": self.standardize,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KnnModel":
-        return cls(
-            X=np.array(data["X"], dtype=np.float64),
-            y=np.array(data["y"], dtype=np.intp),
-            k=data["k"],
-            n_classes=data["n_classes"],
-            mean=np.array(data["mean"]),
-            std=np.array(data["std"]),
-            standardize=data["standardize"],
-        )
-
 
 def fit_knn(
     X: np.ndarray, y: np.ndarray, k: int, n_classes: int, standardize: bool = True

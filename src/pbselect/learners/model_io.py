@@ -1,44 +1,87 @@
 """Trained-model container with schema checks and versioned persistence.
 
-The saved file is a JSON document holding the feature schema, the label
-vocabulary, the hyperparameters (including the timestep grid the model was
-trained against) and the full model structure.  In format 2 a tree model
-stores its whole ensemble as one flat node table under ``model.trees``
-(``feature``, ``threshold``, ``left``, ``right`` and ``roots`` per node or
-tree, ``leaf_values`` for the leaves only, in node order, and one row of
-``raw_importances`` per tree); KNN stores its standardized training rows.
-Loading a file with a different format name or version is an error:
-format 1, which stored one node list per tree, is no longer read, so its
-models must be trained again.  Wall-clock timings gathered during training
-stay in memory only, so two fits with the same seed write byte-identical
-files.
+A model file (format 3) is a zip archive: one ``.npy`` member per numpy
+array of the model, named after its dataclass field (``trees.`` prefixes
+the :class:`TreeEnsemble` fields) and read with ``allow_pickle=False``,
+and ``header.json`` with the rest: format name and version, family,
+feature schema, timestep encoding, label vocabulary, hyperparameters (with
+the timestep grid), seed, MDI importances and the model's other fields.
+Fields computed from others (``init=False``) are not stored.  Another
+format name or version is rejected; formats 1 and 2 were one JSON
+document, read only to name its version, so their models must be trained
+again.  Members carry a fixed timestamp and training timings stay in
+memory, so two fits with the same seed write byte-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import io
 import json
+import typing
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..features import SCHEMAS, FeatureVector
+from ..features import SCHEMAS
 from .boosting import GradientBoostingModel
 from .forest import ForestModel
 from .knn import KnnModel
 
 FORMAT_NAME = "pbselect-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+HEADER = "header.json"
+_HEADER_FIELDS = ("family", "schema", "encoding", "vocabulary", "params", "seed", "mdi")
+_MEMBER_TIME = (1980, 1, 1, 0, 0, 0)  # np.savez would stamp the current time
 
 RF = "rf"
 GB = "gb"
 KNN = "knn"
 
 FAMILIES = (RF, GB, KNN)
+_MODEL_TYPES = {RF: ForestModel, GB: GradientBoostingModel, KNN: KnnModel}
+# resolving a class's string annotations takes a quarter of a millisecond
+_field_types = functools.cache(typing.get_type_hints)
 
 
 class SchemaMismatchError(ValueError):
     """Feature vector does not match the schema the model was trained on."""
+
+
+def _flatten(obj, prefix: str = ""):
+    """(name, value) of each stored field of a model dataclass, nested
+    dataclasses flattened under their field name."""
+    for f in dataclasses.fields(obj):
+        if f.init:
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from _flatten(value, f"{prefix}{f.name}.")
+            else:
+                yield prefix + f.name, value
+
+
+def _unflatten(cls, stored: dict, prefix: str = ""):
+    """The ``cls`` instance whose fields ``_flatten`` gave as ``stored``."""
+    types = _field_types(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.init:
+            name = prefix + f.name
+            if dataclasses.is_dataclass(types[f.name]):
+                kwargs[f.name] = _unflatten(types[f.name], stored, name + ".")
+            else:
+                kwargs[f.name] = stored[name]
+    return cls(**kwargs)
+
+
+def _check_header(header: dict, path) -> None:
+    if header.get("format") != FORMAT_NAME:
+        raise ValueError(f"{path} is not a {FORMAT_NAME} file")
+    if (version := header.get("version")) != FORMAT_VERSION:
+        raise ValueError(f"unsupported model file version {version} (expected {FORMAT_VERSION})")
 
 
 @dataclass
@@ -64,16 +107,6 @@ class TrainedModel:
                 f"(schema {self.schema!r} plus timestep), got {width}"
             )
 
-    def predict_vector(self, fv: FeatureVector) -> tuple[str, dict[str, float]]:
-        """Predict from a FeatureVector; its schema must match and carry a timestep."""
-        if fv.schema != self.schema:
-            raise SchemaMismatchError(
-                f"model was trained on schema {self.schema!r}, vector has {fv.schema!r}"
-            )
-        if fv.timestep is None:
-            raise SchemaMismatchError("feature vector is missing the timestep feature")
-        return self.predict_values(fv.full())
-
     def predict_values(self, values) -> tuple[str, dict[str, float]]:
         """Predict one row through the batch path: a one-row matrix."""
         X = np.asarray(values, dtype=np.float64).reshape(1, -1)
@@ -87,49 +120,41 @@ class TrainedModel:
         return self.model.predict(X)
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "family": self.family,
-            "schema": self.schema,
-            "encoding": self.encoding,
-            "vocabulary": self.vocabulary,
-            "params": self.params,
-            "seed": self.seed,
-            "mdi": self.mdi,
-            "model": self.model.to_dict(),
-        }
-        Path(path).write_text(json.dumps(payload) + "\n")
+        members, rest = {}, {}
+        for name, value in _flatten(self.model):
+            if isinstance(value, np.ndarray):
+                members[name + ".npy"] = buf = io.BytesIO()
+                np.save(buf, value, allow_pickle=False)
+            else:
+                rest[name] = value
+        header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                  **{key: getattr(self, key) for key in _HEADER_FIELDS}, "model": rest}
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr(zipfile.ZipInfo(HEADER, date_time=_MEMBER_TIME), json.dumps(header))
+            for name, buf in members.items():
+                archive.writestr(zipfile.ZipInfo(name, date_time=_MEMBER_TIME), buf.getvalue())
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        data = json.loads(Path(path).read_text())
-        if data.get("format") != FORMAT_NAME:
-            raise ValueError(f"{path} is not a {FORMAT_NAME} file")
-        if data.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported model file version {data.get('version')} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        family = data["family"]
-        if family == RF:
-            model = ForestModel.from_dict(data["model"])
-        elif family == GB:
-            model = GradientBoostingModel.from_dict(data["model"])
-        elif family == KNN:
-            model = KnnModel.from_dict(data["model"])
-        else:
-            raise ValueError(f"unknown model family {family!r}")
-        return cls(
-            family=family,
-            schema=data["schema"],
-            encoding=data["encoding"],
-            vocabulary=list(data["vocabulary"]),
-            params=dict(data["params"]),
-            seed=data["seed"],
-            model=model,
-            mdi=data["mdi"],
-        )
+        try:
+            archive = zipfile.ZipFile(path)
+        except zipfile.BadZipFile:
+            # formats 1 and 2 were one JSON document: read it to name its version
+            _check_header(json.loads(Path(path).read_bytes()), path)
+            raise ValueError(f"{path} is not a zip archive") from None
+        with archive:
+            names = archive.namelist()
+            header = json.loads(archive.read(HEADER)) if HEADER in names else {}
+            _check_header(header, path)
+            stored = dict(header["model"])
+            for name in names:
+                if name != HEADER:
+                    data = io.BytesIO(archive.read(name))
+                    stored[name.removesuffix(".npy")] = np.load(data, allow_pickle=False)
+        if header["family"] not in _MODEL_TYPES:
+            raise ValueError(f"unknown model family {header['family']!r}")
+        model = _unflatten(_MODEL_TYPES[header["family"]], stored)
+        return cls(model=model, **{key: header[key] for key in _HEADER_FIELDS})
 
 
 def mdi_importance(model: ForestModel | GradientBoostingModel) -> np.ndarray:

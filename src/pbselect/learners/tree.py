@@ -183,33 +183,6 @@ class TreeEnsemble:
             parts.append(combine(self.values[node]))
         return np.concatenate(parts)
 
-    def to_dict(self) -> dict:
-        leaf = self.feature < 0
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "roots": self.roots.tolist(),
-            "leaf_values": self.values[leaf].tolist(),
-            "raw_importances": self.raw_importances.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, width: int, n_features: int) -> "TreeEnsemble":
-        feature = np.array(data["feature"], dtype=np.intp)
-        values = np.zeros((len(feature), width))
-        values[feature < 0] = np.array(data["leaf_values"], dtype=np.float64).reshape(-1, width)
-        return cls(
-            feature=feature,
-            threshold=np.array(data["threshold"], dtype=np.float64),
-            left=np.array(data["left"], dtype=np.intp),
-            right=np.array(data["right"], dtype=np.intp),
-            roots=np.array(data["roots"], dtype=np.intp),
-            values=values,
-            raw_importances=np.array(data["raw_importances"], dtype=np.float64).reshape(-1, n_features),
-        )
-
 
 class EnsembleBuilder:
     """Node lists that the trees of one ensemble grow into, one after another."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import NO_SOLUTION
-from .features import append_timestep, extract
+from .features import encode_timestep, extract
 from .grid import make_grid
 from .learners import TrainedModel
 from .opb import Instance, parse_opb_file
@@ -61,8 +61,8 @@ def choose_solver(model: TrainedModel, inst: Instance, budget: float) -> Choice:
             grid.points[0],
         )
         index = 0
-    fv = append_timestep(extract(inst, model.schema), index, grid, model.encoding)
-    label, probs = model.predict_vector(fv)
+    row = extract(inst, model.schema).values + (encode_timestep(index, grid, model.encoding),)
+    label, probs = model.predict_values(row)
     return Choice(
         label=label,
         probabilities=probs,

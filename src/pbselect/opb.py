@@ -17,8 +17,11 @@ with ``;``.  Relations ``>=``, ``<=`` and ``=`` are accepted on input;
 constraints only ever use ``>=`` and ``=``.
 
 Coefficients and right-hand sides are Python ints, so arbitrary-precision
-("BIGINT") instances round-trip without truncation.  All model types are
-immutable and safe to share across threads.
+("BIGINT") instances round-trip without truncation, up to the number of
+decimal digits the interpreter converts to an int
+(``sys.get_int_max_str_digits()``, 4,300 by default): a longer coefficient
+or right-hand side is an :class:`OpbParseError` at its token.  All model
+types are immutable and safe to share across threads.
 
 The parser splits each line on whitespace and keeps no positions: an
 error is raised with a statement and token number, and its line and
@@ -157,6 +160,8 @@ def is_linear(inst: Instance) -> bool:
 
 _RELATIONS = (">=", "<=", "=", ">", "<")
 _ACCEPTED = (">=", "<=", "=")
+# the one way ``int`` fails on a token that ``_is_coefficient`` accepts
+_TOO_LONG = "integer has more digits than the interpreter converts"
 
 
 class _Misplaced(Exception):
@@ -270,7 +275,10 @@ def _literal_error(stmt: list[str], head: int, s: int) -> _Misplaced | None:
 def _term(stmt: list[str], head: int, lits: list, negate: bool, s: int) -> Term | None:
     """The term whose coefficient is token ``head``; None when that is zero,
     as zero-coefficient terms are normalized away."""
-    coeff = int(stmt[head])
+    try:
+        coeff = int(stmt[head])
+    except ValueError:
+        raise _Misplaced(_TOO_LONG, s, head) from None
     if coeff == 0:
         error = _literal_error(stmt, head, s)
         if error is not None:
@@ -364,7 +372,10 @@ def _parse(text: str, source_name: str, benchmark_id: str) -> Instance:
             except _Misplaced as exc:
                 # a relation error comes first, wherever it is
                 raise _relation_error(stmt, s) or exc
-            rhs, relation = int(stmt[-1]), stmt[-2]
+            try:
+                rhs, relation = int(stmt[-1]), stmt[-2]
+            except ValueError:
+                raise _Misplaced(_TOO_LONG, s, n - 1) from None
             if relation == "<=":
                 rhs, relation = -rhs, GEQ
             constraints.append(Constraint(tuple(terms), relation, rhs))

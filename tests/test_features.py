@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pbselect.features import (
     SCHEMAS,
     FeatureVector,
-    append_timestep,
+    encode_timestep,
     extract,
     extract_basic,
     extract_linear,
@@ -142,28 +142,26 @@ def test_basic_zero_constraints():
     assert extract_basic(parse_opb("* #variable= 3 #constraint= 0\nmin: +1 x1 ;\n")).values == (0.0, 3.0)
 
 
-def test_append_timestep_index_encoding():
+def test_encode_timestep_index_encoding():
     grid = make_grid(500, 3600.0, 0.01)
-    fv = extract_basic(parse_opb(TOY))
-    assert append_timestep(fv, 0, grid).timestep == 0.0
-    assert append_timestep(fv, 499, grid).timestep == 499.0
+    assert encode_timestep(0, grid) == 0.0
+    assert encode_timestep(499, grid) == 499.0
     with pytest.raises(IndexError):
-        append_timestep(fv, 500, grid)
+        encode_timestep(500, grid)
     with pytest.raises(IndexError):
-        append_timestep(fv, -1, grid)
+        encode_timestep(-1, grid)
 
 
-def test_append_timestep_seconds_encoding():
+def test_encode_timestep_seconds_encoding():
     grid = make_grid(4, 1000.0, 1.0)
-    fv = extract_basic(parse_opb(TOY))
-    assert append_timestep(fv, 2, grid, "seconds").timestep == grid.points[2]
+    assert encode_timestep(2, grid, "seconds") == grid.points[2]
 
 
 def test_full_and_names_line_up():
+    # a model's input row: the schema's values, then the encoded timestep
     grid = make_grid(10, 100.0, 1.0)
-    fv = append_timestep(extract_nonlinear(parse_opb(TOY)), 3, grid)
-    assert len(fv.full()) == 15
-    assert fv.names()[-1] == "timestep"
+    row = extract_nonlinear(parse_opb(TOY)).values + (encode_timestep(3, grid),)
+    assert len(row) == len(feature_names("nonlinear")) == 15
     assert feature_names("nonlinear")[-1] == "timestep"
     assert feature_names("nonlinear", with_timestep=False) == SCHEMAS["nonlinear"]
 

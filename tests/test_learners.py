@@ -1,10 +1,12 @@
 import json
+import time
+import zipfile
 
 import numpy as np
 import pytest
 
 from pbselect.dataset import NO_SOLUTION
-from pbselect.features import append_timestep, extract_basic
+from pbselect.features import encode_timestep, extract_basic, extract_nonlinear
 from pbselect.grid import make_grid
 from pbselect.learners import (
     ForestModel,
@@ -99,13 +101,13 @@ def test_ensemble_leaves_loop_to_themselves():
 # --- random forest --------------------------------------------------------------
 
 
-def test_forest_determinism_bit_identical():
+def test_forest_determinism_bit_identical(tmp_path):
     X, y = _blobs(300, seed=3, noise=0.05)
     a = fit_random_forest(X, y, 3, n_estimators=15, seed=11)
     b = fit_random_forest(X, y, 3, n_estimators=15, seed=11)
-    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+    assert _saved_bytes(tmp_path, "rf", a) == _saved_bytes(tmp_path, "rf", b)
     c = fit_random_forest(X, y, 3, n_estimators=15, seed=12)
-    assert json.dumps(a.to_dict()) != json.dumps(c.to_dict())
+    assert _saved_bytes(tmp_path, "rf", a) != _saved_bytes(tmp_path, "rf", c)
 
 
 def test_forest_single_class_training():
@@ -188,11 +190,11 @@ def test_gb_single_class_rejected():
         fit_gradient_boosting(X, y, 3)
 
 
-def test_gb_determinism():
+def test_gb_determinism(tmp_path):
     X, y = _blobs(150, seed=11, noise=0.05)
     a = fit_gradient_boosting(X, y, 3, n_estimators=10, learning_rate=0.25, seed=4)
     b = fit_gradient_boosting(X, y, 3, n_estimators=10, learning_rate=0.25, seed=4)
-    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+    assert _saved_bytes(tmp_path, "gb", a) == _saved_bytes(tmp_path, "gb", b)
 
 
 # --- knn -------------------------------------------------------------------------
@@ -329,6 +331,10 @@ def _trained(family, seed=0):
         model = fit_gradient_boosting(X, y, 3, n_estimators=4, learning_rate=0.25, seed=seed)
     else:
         model = fit_knn(X, y, 5, 3)
+    return _container(family, model, seed)
+
+
+def _container(family, model, seed=0):
     return TrainedModel(
         family=family,
         schema="basic",
@@ -339,6 +345,22 @@ def _trained(family, seed=0):
         model=model,
         mdi=None if family == "knn" else mdi_importance(model).tolist(),
     )
+
+
+def _saved_bytes(tmp_path, family, model):
+    path = tmp_path / "saved.zip"
+    _container(family, model).save(path)
+    return path.read_bytes()
+
+
+def _rewrite_header(path, **changes):
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    header = json.loads(members["header.json"])
+    members["header.json"] = json.dumps({**header, **changes}).encode()
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
 
 
 def test_trained_model_save_load_roundtrip(tmp_path):
@@ -376,13 +398,15 @@ def test_predict_values_is_batch_row(family, monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["rf", "gb", "knn"])
-def test_format2_save_load_save_is_byte_identical(family, tmp_path):
+def test_format3_save_load_save_is_byte_identical(family, tmp_path, monkeypatch):
     tm = _trained(family, seed=3)
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first, second = tmp_path / "a.zip", tmp_path / "b.zip"
     tm.save(first)
     again = TrainedModel.load(first)
+    monkeypatch.setattr(time, "time", lambda: 2e9)  # members keep their timestamp
     again.save(second)
-    assert json.loads(first.read_text())["version"] == 2
+    with zipfile.ZipFile(first) as archive:
+        assert json.loads(archive.read("header.json"))["version"] == 3
     assert first.read_bytes() == second.read_bytes()
     X = np.random.default_rng(4).normal(size=(30, 3))
     assert again.model.predict_proba(X).tobytes() == tm.model.predict_proba(X).tobytes()
@@ -392,31 +416,30 @@ def test_trained_model_rejects_schema_mismatch(tmp_path):
     tm = _trained("rf")
     grid = make_grid(4, 100.0, 1.0)
     inst = parse_opb("* #variable= 2 #constraint= 1\nmin: +1 x1 ;\n+1 x1 >= 0 ;\n")
-    good = append_timestep(extract_basic(inst), 1, grid)
-    label, probs = tm.predict_vector(good)
+    timestep = (encode_timestep(1, grid),)
+    label, probs = tm.predict_values(extract_basic(inst).values + timestep)
     assert label in tm.vocabulary
     assert sum(probs.values()) == pytest.approx(1.0)
-    from pbselect.features import extract_nonlinear
-
-    wrong_schema = append_timestep(extract_nonlinear(inst), 1, grid)
     with pytest.raises(SchemaMismatchError):
-        tm.predict_vector(wrong_schema)
+        tm.predict_values(extract_nonlinear(inst).values + timestep)  # 15 wide
     with pytest.raises(SchemaMismatchError):
-        tm.predict_vector(extract_basic(inst))  # timestep missing
+        tm.predict_values(extract_basic(inst).values)  # timestep missing
     with pytest.raises(SchemaMismatchError):
         tm.predict_batch(np.zeros((2, 7)))
 
 
 def test_trained_model_version_check(tmp_path):
     tm = _trained("rf")
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.zip"
     tm.save(path)
-    data = json.loads(path.read_text())
-    data["version"] = 99
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
+    _rewrite_header(path, version=99)
+    with pytest.raises(ValueError, match="version 99"):
         TrainedModel.load(path)
-    # format 1 (one node list per tree) is not read
+    # formats 1 and 2 were one JSON document, and are not read
+    data = {"format": "pbselect-model", "version": 2, "family": "rf", "model": {}}
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="version 2"):
+        TrainedModel.load(path)
     data["version"] = 1
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="version 1"):

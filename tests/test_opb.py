@@ -102,13 +102,16 @@ _PARSE_ERRORS = [
     (HEADER + "  ;\n", "empty statement", 2, 3),
     (HEADER + "+1 x1 >= 1 = 2 ;\n", "multiple relations", 2, 12),
     (HEADER + "x1 >= 1 ;\n", "expected coefficient, got 'x1'", 2, 1),
+    # integers longer than the interpreter converts (4,300 digits by default)
+    (HEADER + "min: +" + "1" * 5000 + " x1 ;\n", "more digits", 2, 6),
+    (HEADER + "+1 x1 >= " + "9" * 5000 + " ;\n", "more digits", 2, 10),
 ]
 
 
 @pytest.mark.parametrize(
     "doc,fragment,line,column",
     _PARSE_ERRORS,
-    ids=[f"{doc}-{fragment}" for doc, fragment, _, _ in _PARSE_ERRORS],
+    ids=[f"{doc[:80]}-{fragment}" for doc, fragment, _, _ in _PARSE_ERRORS],
 )
 def test_parse_errors(doc, fragment, line, column):
     with pytest.raises(OpbParseError) as err:
