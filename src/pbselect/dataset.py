@@ -4,8 +4,9 @@ The layout is columnar, as in ASlib: an (instances x features) table and
 an (instances x timesteps) matrix of winner labels.  ``matrix`` broadcasts
 the table against the encoded timestep column into learning rows, in
 instance-then-timestep order; ``rows`` builds one read-only
-:class:`DatasetRow` per pair on demand.  On disk a dataset is a CSV with
-one line per pair, plus a ``.meta.json`` sidecar and a skip manifest.
+:class:`DatasetRow` per pair on demand.  On disk a dataset has the same
+layout: a CSV with one line per instance (its features, then its label at
+each grid index) and a ``.meta.json`` sidecar for everything else.
 
 The winner is the solver holding the smallest sampled objective at that
 timestep; ties go to the solver that reached the value first, and residual
@@ -40,9 +41,6 @@ NO_SOLUTION = "NO_SOLUTION"
 
 TRAIN = "train"
 TEST = "test"
-
-_META_COLUMNS = ("benchmark", "instance", "timestep", "label", "split")
-
 
 def rank_sampled(sampled: list[tuple[int | None, ...]]) -> tuple[np.ndarray, list[int]]:
     """Rank every sampled objective among the distinct ones of an instance.
@@ -152,7 +150,7 @@ def build_dataset(
     """Label every instance of the archive at every timestep.
 
     Instances that fail to parse, lack an objective, or miss a trajectory
-    for some portfolio solver are skipped and listed in the skip manifest.
+    for some portfolio solver are skipped and listed in ``skipped``.
     Features are computed once per instance.  The wall time of parsing
     the instance and computing them is recorded in ``feature_seconds``:
     the preparation ``solve`` charges before it predicts.
@@ -263,99 +261,93 @@ def win_summary(ds: LabeledDataset) -> WinSummary:
 # ---------------------------------------------------------------------------
 # CSV persistence
 
-def _sidecars(path: Path) -> tuple[Path, Path]:
-    return path.with_suffix(".meta.json"), path.with_suffix(".skips.txt")
+def _sidecar(path: Path) -> Path:
+    return path.with_suffix(".meta.json")
+
+
+def _header(schema: str, count: int) -> list[str]:
+    return [
+        "benchmark", "instance", "split", *feature_names(schema, with_timestep=False),
+        *(f"label_{j}" for j in range(count)),
+    ]
 
 
 def write_csv(ds: LabeledDataset, path: str | Path) -> None:
-    """Write one line per (instance, timestep) plus a .meta.json sidecar
-    and a skip manifest.
+    """Write one line per instance plus a ``.meta.json`` sidecar.
 
-    The ``timestep`` column holds the grid index; the encoded timestep
-    feature is reconstructed from it (and the recorded encoding) on read,
-    so it is not duplicated as a second column.
+    A line holds the instance's benchmark, id and split part (empty when
+    unassigned), its features as ``repr(float)``, which reads back
+    bit-identical, and the name of its winner at each grid index.  The
+    sidecar holds the schema, timestep encoding, grid, solver order,
+    ``feature_seconds`` and the skipped instances with their reasons.
     """
     path = Path(path)
-    header = list(_META_COLUMNS) + list(feature_names(ds.schema, with_timestep=False))
     vocab = ds.vocabulary()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for iid, bench, values, labels in zip(
-            ds.instance_ids, ds.benchmark_ids, ds.features.tolist(), ds.labels.tolist()
-        ):
-            part = ds.split.get(iid, "")
-            cells = [repr(v) for v in values]
-            w.writerows([bench, iid, j, vocab[label], part, *cells] for j, label in enumerate(labels))
-    meta_path, skips_path = _sidecars(path)
+        w.writerow(_header(ds.schema, ds.grid.count))
+        w.writerows(
+            [bench, iid, ds.split.get(iid, ""), *map(repr, values), *(vocab[k] for k in labels)]
+            for iid, bench, values, labels in zip(
+                ds.instance_ids, ds.benchmark_ids, ds.features.tolist(), ds.labels.tolist()
+            )
+        )
     meta = {
         "schema": ds.schema,
         "encoding": ds.encoding,
         "grid": ds.grid.params(),
         "solvers": ds.solver_order,
         "feature_seconds": ds.feature_seconds,
+        "skipped": ds.skipped,
     }
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-    skips_path.write_text("".join(f"{iid}\t{reason}\n" for iid, reason in ds.skipped))
+    _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def read_csv(path: str | Path) -> LabeledDataset:
     """Read a dataset written by :func:`write_csv`.
 
-    Each instance's features are parsed once.  Raises ValueError naming the
-    instance when its lines disagree on the benchmark or a feature value,
-    hold an unknown label, or do not hold each grid index exactly once, in
-    order.
+    Raises ValueError when the header is not the one the sidecar implies
+    (as for a file of an older layout, which must be built again), and,
+    naming the instance, when a line has another width than the header,
+    holds an unknown label or repeats an instance.
     """
     path = Path(path)
-    meta_path, skips_path = _sidecars(path)
-    meta = json.loads(meta_path.read_text())
+    meta = json.loads(_sidecar(path).read_text())
     grid = make_grid(**meta["grid"])
     schema, solvers = meta["schema"], list(meta["solvers"])
     label_index = {label: k for k, label in enumerate(solvers + [NO_SOLUTION])}
-    n_meta = len(_META_COLUMNS)
-    # instance id -> (benchmark, feature cells, labels by grid index)
-    seen: dict[str, tuple[str, list[str], list[int]]] = {}
-    split: dict[str, str] = {}
+    header = _header(schema, grid.count)
+    first_label = len(header) - grid.count
+    lines: dict[str, list[str]] = {}
+    labels: list[list[int]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = list(_META_COLUMNS) + list(feature_names(schema, with_timestep=False))
-        if header != expected:
-            raise ValueError(f"unexpected dataset header in {path}")
+        if next(reader, None) != header:
+            raise ValueError(
+                f"{path} does not have the header of a {schema} dataset on a "
+                f"{grid.count}-point grid; run build-dataset again"
+            )
         for rec in reader:
-            bench, iid, j, label, part = rec[:n_meta]
-            cells = rec[n_meta:]
-            first_bench, first_cells, labels = seen.setdefault(iid, (bench, cells, []))
-            if bench != first_bench or (
-                cells != first_cells and list(map(float, cells)) != list(map(float, first_cells))
-            ):
-                raise ValueError(f"{path}: the lines of instance {iid} disagree on its features")
-            if int(j) != len(labels):
-                raise ValueError(f"{path}: instance {iid} has grid index {j} in place of {len(labels)}")
-            if label not in label_index:
-                raise ValueError(f"{path}: instance {iid} has unknown label {label!r}")
-            labels.append(label_index[label])
-            if part:
-                split[iid] = part
-    for iid, (_, _, labels) in seen.items():
-        if len(labels) != grid.count:
-            raise ValueError(f"{path}: instance {iid} holds {len(labels)} of {grid.count} grid indices")
-    skipped = []
-    if skips_path.exists():
-        for line in skips_path.read_text().splitlines():
-            iid, _, reason = line.partition("\t")
-            skipped.append((iid, reason))
+            iid = rec[1] if len(rec) > 1 else ""
+            if len(rec) != len(header):
+                raise ValueError(f"{path}: instance {iid} has {len(rec)} of {len(header)} cells")
+            if iid in lines:
+                raise ValueError(f"{path}: instance {iid} has two lines")
+            try:
+                labels.append([label_index[name] for name in rec[first_label:]])
+            except KeyError as exc:
+                raise ValueError(f"{path}: instance {iid} has unknown label {exc.args[0]!r}") from None
+            lines[iid] = rec
     return LabeledDataset(
-        instance_ids=list(seen),
-        benchmark_ids=[bench for bench, _, _ in seen.values()],
-        features=[[float(v) for v in cells] for _, cells, _ in seen.values()],
-        labels=[labels for _, _, labels in seen.values()],
+        instance_ids=list(lines),
+        benchmark_ids=[rec[0] for rec in lines.values()],
+        features=[list(map(float, rec[3:first_label])) for rec in lines.values()],
+        labels=labels,
         schema=schema,
         encoding=meta["encoding"],
         grid=grid,
         solver_order=solvers,
-        split=split,
+        split={iid: rec[2] for iid, rec in lines.items() if rec[2]},
         feature_seconds={k: float(v) for k, v in meta["feature_seconds"].items()},
-        skipped=skipped,
+        skipped=[tuple(pair) for pair in meta["skipped"]],
     )

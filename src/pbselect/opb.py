@@ -19,9 +19,10 @@ constraints only ever use ``>=`` and ``=``.
 Coefficients and right-hand sides are Python ints, so arbitrary-precision
 ("BIGINT") instances round-trip without truncation, up to the number of
 decimal digits the interpreter converts to an int
-(``sys.get_int_max_str_digits()``, 4,300 by default): a longer coefficient
-or right-hand side is an :class:`OpbParseError` at its token.  All model
-types are immutable and safe to share across threads.
+(``sys.get_int_max_str_digits()``, 4,300 by default): a longer coefficient,
+right-hand side, variable index or header count is an
+:class:`OpbParseError` at its token.  All model types are immutable and
+safe to share across threads.
 
 The parser splits each line on whitespace and keeps no positions: an
 error is raised with a statement and token number, and its line and
@@ -186,6 +187,20 @@ def _literal(tok: str) -> tuple[int, bool] | None:
     return (int(digits), negated) if digits.isdecimal() else None
 
 
+def _header_counts(text: str, raw: str, m: re.Match) -> tuple[int, int]:
+    """The counts of header line ``raw``, matched by ``m`` after its indent."""
+    counts = []
+    for group in (1, 2):
+        try:
+            counts.append(int(m.group(group)))
+        except ValueError:
+            # ``raw`` is the first line equal to itself: an earlier copy
+            # would have been the header
+            column = len(raw) - len(raw.lstrip()) + m.start(group) + 1
+            raise OpbParseError(_TOO_LONG, text.splitlines().index(raw) + 1, column) from None
+    return counts[0], counts[1]
+
+
 def _statements(text: str) -> tuple[list[list[str]], tuple[int, int] | None]:
     """Token lists of the ``;``-terminated statements, and the header counts
     if a standard header comment was seen."""
@@ -200,7 +215,7 @@ def _statements(text: str) -> tuple[list[list[str]], tuple[int, int] | None]:
             if header is None:
                 m = _HEADER_RE.match(raw.lstrip())
                 if m:
-                    header = (int(m.group(1)), int(m.group(2)))
+                    header = _header_counts(text, raw, m)
             continue
         ends = raw.count(";")
         if not ends:
@@ -302,7 +317,10 @@ def _terms(
     lits: list[tuple[int, bool]] = []
     for k in range(start, stop):
         tok = stmt[k]
-        lit = _literal(tok) if head >= 0 else None
+        try:
+            lit = _literal(tok) if head >= 0 else None
+        except ValueError:  # an index longer than ``int`` converts
+            raise _Misplaced(_TOO_LONG, s, k) from None
         if lit is not None:
             lits.append(lit)
             if lit[0] > top:

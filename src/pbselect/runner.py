@@ -305,16 +305,6 @@ def raw_log_to_text(lines: list[tuple[float, str]]) -> str:
     return "".join(f"[{t!r}] {line}\n" for t, line in lines)
 
 
-def raw_log_from_text(text: str) -> list[tuple[float, str]]:
-    out = []
-    for raw in text.splitlines():
-        if not raw.startswith("["):
-            continue
-        stamp, _, rest = raw.partition("] ")
-        out.append((float(stamp[1:]), rest))
-    return out
-
-
 def instance_id_for(path: str | Path, benchmark_id: str) -> str:
     stem = Path(path).stem
     return _UNSAFE_RE.sub("_", f"{benchmark_id}__{stem}")

@@ -2,8 +2,8 @@
 
 These deliberately take different computational routes from the package:
 exact rational arithmetic for the metric stack, sort-based winner
-selection, and min-over-scan sampling.  They are the ground truth the
-production code is compared against.
+selection, min-over-scan sampling and a reference reader of the raw run
+log.  They are the ground truth the production code is compared against.
 """
 
 from fractions import Fraction
@@ -61,6 +61,18 @@ def oracle_label(candidates):
     if not feasible:
         return "NO_SOLUTION"
     return sorted(feasible)[0][3]
+
+
+def raw_log_from_text(text):
+    """Reference reader of a run's ``.log`` file: the (time, stdout line)
+    pairs written as ``[<time>] <line>``; other lines are ignored."""
+    out = []
+    for raw in text.splitlines():
+        if not raw.startswith("["):
+            continue
+        stamp, _, rest = raw.partition("] ")
+        out.append((float(stamp[1:]), rest))
+    return out
 
 
 def oracle_pairs(events_by_instance_solver, solver_order, points):

@@ -14,6 +14,7 @@ from pbselect.dataset import (
     winner_labels,
     write_csv,
 )
+from pbselect.features import feature_names
 from pbselect.grid import make_grid
 from pbselect.runner import RunArchive, Trajectory, instance_id_for, sample_events
 
@@ -261,20 +262,53 @@ def test_win_summary_empty_dataset(tmp_path):
     assert sum(summary.by_timestep["A"]) == 0
 
 
+def _mixed_dataset(tmp_path, encoding):
+    """Two benchmarks with varied winners, NO_SOLUTION labels and one
+    skipped instance."""
+    grid = make_grid(4, 1000.0, 1.0)
+    rows, events = [], {}
+    for b, size in enumerate([3, 2]):
+        for i in range(size):
+            p = _write_instance(tmp_path, f"bench{b}", f"i{i}")
+            iid = instance_id_for(p, f"bench{b}")
+            rows.append((iid, f"bench{b}", p))
+            events[(iid, "A")] = [(0.5 + i, 10), (500.0, 2 + b)]
+            events[(iid, "B")] = [(2.0 * (i + 1), 8 - i)] if i else []
+    bad = tmp_path / "bench0" / "bad.opb"
+    bad.write_text("+1 zz >= 1 ;\n")
+    rows.append((instance_id_for(bad, "bench0"), "bench0", bad))
+    events[(rows[-1][0], "A")] = events[(rows[-1][0], "B")] = [(0.5, 1)]
+    archive = _synthetic_archive(tmp_path, grid, events, rows)
+    return build_dataset(archive, "nonlinear", ["A", "B"], encoding=encoding)
+
+
 def test_csv_roundtrip(tmp_path):
-    ds = _dataset_with_benchmarks(tmp_path, [4, 2])
-    ds = split_by_benchmark(ds, seed=1)
-    out = tmp_path / "data.csv"
-    write_csv(ds, out)
-    again = read_csv(out)
-    assert again.schema == ds.schema
-    assert again.solver_order == ds.solver_order
-    assert again.split == ds.split
-    assert again.grid.params() == ds.grid.params()
-    assert len(again.rows) == len(ds.rows)
-    for a, b in zip(again.rows, ds.rows):
-        assert a == b
-    assert again.feature_seconds == ds.feature_seconds
+    for encoding, seed in (("index", 1), ("seconds", None)):
+        ds = _mixed_dataset(tmp_path / encoding, encoding)
+        if seed is not None:
+            ds = split_by_benchmark(ds, seed=seed)
+        assert ds.skipped and len({*ds.labels.ravel().tolist()}) == 3
+        out = tmp_path / encoding / "data.csv"
+        write_csv(ds, out)
+        # two files: a header plus one line per instance, and the sidecar
+        assert sorted(f.name for f in out.parent.glob("data.*")) == ["data.csv", "data.meta.json"]
+        assert len(out.read_text().splitlines()) == 1 + len(ds.instance_ids)
+        again = read_csv(out)
+        assert again.instance_ids == ds.instance_ids
+        assert again.benchmark_ids == ds.benchmark_ids
+        assert again.features.dtype == ds.features.dtype
+        assert again.features.tobytes() == ds.features.tobytes()
+        assert again.labels.dtype == ds.labels.dtype
+        assert again.labels.tobytes() == ds.labels.tobytes()
+        assert again.schema == ds.schema
+        assert again.encoding == ds.encoding == encoding
+        assert again.grid.params() == ds.grid.params()
+        assert again.solver_order == ds.solver_order
+        assert again.split == ds.split
+        assert again.feature_seconds == ds.feature_seconds
+        assert again.skipped == ds.skipped
+        assert all(isinstance(pair, tuple) for pair in again.skipped)
+        assert again.rows == ds.rows
 
 
 def test_rows_ordered_by_benchmark_instance_timestep(tmp_path):
@@ -312,16 +346,19 @@ def test_read_csv_rejects_inconsistent_instance_lines(tmp_path):
     ds = split_by_benchmark(_dataset_with_benchmarks(tmp_path, [3]), seed=1)
     out = tmp_path / "data.csv"
     iid = ds.instance_ids[1]
-    # line 0 is the header; each instance holds grid.count = 2 lines
+    old_header = "benchmark,instance,timestep,label,split," + ",".join(
+        feature_names(ds.schema, with_timestep=False)
+    ) + "\n"
+    # line 0 is the header, line k + 1 holds instance k
     edits = {
-        "features": lambda lines: lines[:4] + [lines[4].replace(",1.0,", ",2.0,", 1)] + lines[5:],
-        "missing": lambda lines: lines[:4] + lines[5:],
-        "duplicate": lambda lines: lines[:4] + [lines[3]] + lines[5:],
-        "label": lambda lines: lines[:4] + [lines[4].replace(",A,", ",Z,")] + lines[5:],
+        "old layout": (lambda lines: [old_header] + lines[1:], "run build-dataset again"),
+        "short": (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + "\n"] + lines[3:], iid),
+        "label": (lambda lines: lines[:2] + [lines[2].replace(",A", ",Z", 1)] + lines[3:], iid),
+        "duplicate": (lambda lines: lines[:3] + [lines[2]] + lines[3:], iid),
     }
-    for kind, edit in edits.items():
+    for kind, (edit, match) in edits.items():
         write_csv(ds, out)
         assert read_csv(out).instance_ids == ds.instance_ids
         _rewrite_csv(out, edit)
-        with pytest.raises(ValueError, match=iid):
+        with pytest.raises(ValueError, match=match):
             read_csv(out)

@@ -8,22 +8,14 @@ import pytest
 from pbselect.dataset import NO_SOLUTION
 from pbselect.features import encode_timestep, extract_basic, extract_nonlinear
 from pbselect.grid import make_grid
-from pbselect.learners import (
-    ForestModel,
-    SchemaMismatchError,
-    SingleClassError,
-    TrainedModel,
-    TreeEnsemble,
-    class_weights,
-    fit_gradient_boosting,
-    fit_knn,
-    fit_random_forest,
-    gini_impurity,
-    hyperparams_for,
-    mdi_importance,
-    tree_rng,
-)
-from pbselect.learners.tree import EnsembleBuilder, Gini
+from pbselect.learners import TrainedModel
+from pbselect.learners.boosting import SingleClassError, fit_gradient_boosting
+from pbselect.learners.forest import ForestModel, fit_random_forest, tree_rng
+from pbselect.learners.knn import fit_knn
+from pbselect.learners.model_io import SchemaMismatchError, mdi_importance
+from pbselect.learners.train import hyperparams_for
+from pbselect.learners.tree import EnsembleBuilder, Gini, TreeEnsemble, gini_impurity
+from pbselect.learners.weights import class_weights
 from pbselect.opb import parse_opb
 
 

@@ -105,6 +105,8 @@ _PARSE_ERRORS = [
     # integers longer than the interpreter converts (4,300 digits by default)
     (HEADER + "min: +" + "1" * 5000 + " x1 ;\n", "more digits", 2, 6),
     (HEADER + "+1 x1 >= " + "9" * 5000 + " ;\n", "more digits", 2, 10),
+    (HEADER + "min: +1 x" + "1" * 5000 + " ;\n", "more digits", 2, 9),
+    ("* #variable= " + "9" * 5000 + " #constraint= 0\nmin: +1 x1 ;\n", "more digits", 1, 14),
 ]
 
 

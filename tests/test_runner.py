@@ -13,7 +13,6 @@ from pbselect.runner import (
     Trajectory,
     instance_id_for,
     parse_events,
-    raw_log_from_text,
     raw_log_to_text,
     run_adapter,
     run_portfolio,
@@ -24,7 +23,7 @@ from pbselect.runner import (
 )
 
 from gen import random_events
-from oracles import oracle_sample
+from oracles import oracle_sample, raw_log_from_text
 
 GRID2 = make_grid(2, 10.0, 1.0)
 
