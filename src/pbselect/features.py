@@ -17,14 +17,23 @@ plus constraints) of degree 1 / 2 / 3 / >=4; the share of all terms that
 sit in the objective; and the fraction of positive-coefficient terms among
 constraint terms and among objective terms.  A timestep feature can be
 appended as the final entry.  Empty denominators yield 0, never NaN.
+
+Every feature is a reduction over the arrays of the columnar
+:class:`pbselect.opb.Instance`, with no per-term Python work: bincounts of
+the term degrees and of the constraint sizes, counts of the positive
+coefficients in the objective and in the constraints, and, for the linear
+schema, the count and sizes of the distinct products
+(:func:`pbselect.opb.products`, the distinct rows of literal codes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import TimestepGrid
-from .opb import Instance, MissingObjectiveError
+from .opb import Instance, MissingObjectiveError, is_linear, products
 
 BASIC = "basic"
 NONLINEAR = "nonlinear"
@@ -85,8 +94,9 @@ def _frac(num: int, den: int) -> float:
     return num / den if den else 0.0
 
 
-def _bucket(n: int) -> int:
-    return min(n, 4) - 1
+def _buckets(sizes: np.ndarray) -> list[int]:
+    """How many of ``sizes`` are 1, 2, 3 and 4 or more; zeros are not counted."""
+    return np.bincount(np.minimum(sizes, 4), minlength=5)[1:].tolist()
 
 
 def _full_values(inst: Instance, linearized: bool) -> tuple[float, ...]:
@@ -94,48 +104,35 @@ def _full_values(inst: Instance, linearized: bool) -> tuple[float, ...]:
     building it: each distinct k-literal product becomes one variable and
     k + 1 constraints, k of two terms and one of k + 1 terms, which hold
     k + 1 positive-coefficient terms; every term then has degree 1."""
-    if inst.objective is None:
+    if not inst.has_objective:
         raise MissingObjectiveError(
             f"feature extraction needs an objective (instance {inst.source_name!r})"
         )
-    degrees = [0, 0, 0, 0]
-    products = set()
-    pos_obj = 0
-    for t in inst.objective:
-        degrees[_bucket(len(t.literals))] += 1
-        if len(t.literals) > 1:
-            products.add(t.literals)
-        if t.coefficient > 0:
-            pos_obj += 1
-    c_sizes = [0, 0, 0, 0]
-    pos_constr = n_constr_terms = 0
-    for c in inst.constraints:
-        if c.terms:
-            c_sizes[_bucket(len(c.terms))] += 1
-        n_constr_terms += len(c.terms)
-        for t in c.terms:
-            degrees[_bucket(len(t.literals))] += 1
-            if len(t.literals) > 1:
-                products.add(t.literals)
-            if t.coefficient > 0:
-                pos_constr += 1
-    n_cons, n_vars = len(inst.constraints), inst.num_variables
-    n_obj_terms = len(inst.objective)
-    if linearized:
-        for p in products:
-            k = len(p)
-            n_cons += k + 1
-            c_sizes[1] += k
-            c_sizes[_bucket(k + 1)] += 1
-            n_constr_terms += 3 * k + 1
-            pos_constr += k + 1
-        n_vars += len(products)
-        degrees = [n_obj_terms + n_constr_terms, 0, 0, 0]
+    degree = np.diff(inst.term_starts)
+    n_obj_terms = int(inst.statement_starts[1])
+    n_constr_terms = len(degree) - n_obj_terms
+    positive = inst.coefficients > 0
+    pos_obj = int(np.count_nonzero(positive[:n_obj_terms]))
+    pos_constr = int(np.count_nonzero(positive)) - pos_obj
+    c_sizes = _buckets(np.diff(inst.statement_starts[1:]))
+    nonlinear = not is_linear(inst)
+    n_cons, n_vars = len(inst.relations), inst.num_variables
+    if linearized and nonlinear:
+        k = degree[products(inst)[1]]
+        literals, n_products = int(k.sum()), len(k)
+        added = _buckets(k + 1)
+        added[1] += literals
+        c_sizes = [a + b for a, b in zip(c_sizes, added)]
+        n_cons += literals + n_products
+        n_constr_terms += 3 * literals + n_products
+        pos_constr += literals + n_products
+        n_vars += n_products
     total_terms = n_obj_terms + n_constr_terms
+    degrees = [total_terms, 0, 0, 0] if linearized else _buckets(degree)
     return (
         float(n_cons),
         float(n_vars),
-        float(bool(products) and not linearized),
+        float(nonlinear and not linearized),
         *(_frac(k, n_cons) for k in c_sizes),
         *(_frac(k, total_terms) for k in degrees),
         _frac(n_obj_terms, total_terms),
@@ -155,7 +152,7 @@ def extract_linear(inst: Instance) -> FeatureVector:
 
 
 def extract_basic(inst: Instance) -> FeatureVector:
-    return FeatureVector((float(len(inst.constraints)), float(inst.num_variables)), BASIC)
+    return FeatureVector((float(len(inst.relations)), float(inst.num_variables)), BASIC)
 
 
 _EXTRACTORS = {BASIC: extract_basic, NONLINEAR: extract_nonlinear, LINEAR: extract_linear}

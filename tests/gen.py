@@ -36,7 +36,7 @@ def random_instance(
         )
         relation = rng.choice([">=", "="])
         constraints.append(Constraint(terms, relation, rng.randint(-10, 10)))
-    return Instance(
+    return Instance.from_terms(
         objective=objective,
         constraints=tuple(constraints),
         num_variables=n_vars,
@@ -151,3 +151,41 @@ def synthetic_corpus(root, rng: random.Random, n_instances: int, grid, noise=0.0
             )
             archive.write_trajectory(traj)
     return archive
+
+
+# tokens that each break one rule of the grammar, or stretch one
+MUTANT_TOKENS = (
+    "~", "x", "+", "-", "0", "+0", "-0", "x0", "~x0", "x1", "~x1", "~~x1", "x+1", "+-1",
+    "x99", "<=", ">=", "=", ">", "<", "min:", ";", "*", "y1", "12345678901234567890",
+    "-98765432109876543210", "x12345678901234567890", "9" * 4301,
+)
+
+
+def mutate_document(rng: random.Random, text: str, edits: int = 2) -> str:
+    """``text`` after a few random edits: a token replaced by, or a token
+    inserted from, ``MUTANT_TOKENS``; a token deleted; two adjacent tokens
+    swapped or glued (as a ';' to its token); a line moved or split."""
+    lines = text.splitlines()
+    for _ in range(edits):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        op = rng.randrange(7)
+        k = rng.randrange(len(tokens)) if tokens else 0
+        if op == 0 and tokens:
+            tokens[k] = rng.choice(MUTANT_TOKENS)
+        elif op == 1:
+            tokens.insert(k, rng.choice(MUTANT_TOKENS))
+        elif op == 2 and tokens:
+            del tokens[k]
+        elif op == 3 and k + 1 < len(tokens):
+            tokens[k], tokens[k + 1] = tokens[k + 1], tokens[k]
+        elif op == 4 and k + 1 < len(tokens):
+            tokens[k : k + 2] = [tokens[k] + tokens[k + 1]]
+        elif op == 5:
+            lines.insert(rng.randrange(len(lines) + 1), lines.pop(i))
+            continue
+        elif op == 6 and tokens:
+            lines[i : i + 1] = [" ".join(tokens[:k]), " ".join(tokens[k:])]
+            continue
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"

@@ -2,8 +2,9 @@
 
 These deliberately take different computational routes from the package:
 exact rational arithmetic for the metric stack, sort-based winner
-selection, min-over-scan sampling and a reference reader of the raw run
-log.  They are the ground truth the production code is compared against.
+selection, min-over-scan sampling, a reference reader of the raw run
+log, and term-by-term evaluation of an instance under an assignment.
+They are the ground truth the production code is compared against.
 """
 
 from fractions import Fraction
@@ -92,3 +93,28 @@ def assignments(n):
     """All 0/1 assignments over n variables as tuples of bools."""
     for mask in range(1 << n):
         yield tuple(bool(mask >> i & 1) for i in range(n))
+
+
+def term_value(term, assignment):
+    """A term under a 0-based assignment (``assignment[i-1]`` is x_i): its
+    coefficient when every literal is true, else 0."""
+    for var, negated in term.literals:
+        if bool(assignment[var - 1]) == negated:
+            return 0
+    return term.coefficient
+
+
+def constraint_satisfied(constraint, assignment):
+    """Whether one constraint holds under ``assignment``."""
+    lhs = sum(term_value(t, assignment) for t in constraint.terms)
+    return lhs >= constraint.rhs if constraint.relation == ">=" else lhs == constraint.rhs
+
+
+def satisfied(inst, assignment):
+    """Whether every constraint of ``inst`` holds under ``assignment``."""
+    return all(constraint_satisfied(c, assignment) for c in inst.constraints)
+
+
+def objective_value(inst, assignment):
+    """The objective of ``inst`` under ``assignment``."""
+    return sum(term_value(t, assignment) for t in inst.objective)

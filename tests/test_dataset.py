@@ -161,10 +161,13 @@ def test_build_dataset_skips_problem_instances(tmp_path):
     bad.write_text("+1 zz >= 1 ;\n")
     noobj = tmp_path / "b0" / "noobj.opb"
     noobj.write_text("* #variable= 1 #constraint= 1\n+1 x1 >= 1 ;\n")
+    latin1 = tmp_path / "b0" / "latin1.opb"
+    latin1.write_bytes(b"* caf\xe9\n" + good.read_bytes())
     rows = [
         (instance_id_for(good, "b0"), "b0", good),
         (instance_id_for(bad, "b0"), "b0", bad),
         (instance_id_for(noobj, "b0"), "b0", noobj),
+        (instance_id_for(latin1, "b0"), "b0", latin1),
     ]
     events = {}
     for iid, _, _ in rows:
@@ -175,6 +178,7 @@ def test_build_dataset_skips_problem_instances(tmp_path):
     reasons = dict(ds.skipped)
     assert "unparsable" in reasons["b0__bad"]
     assert reasons["b0__noobj"] == "no objective"
+    assert "line 1, column 6: invalid UTF-8 byte 0xe9" in reasons["b0__latin1"]
 
 
 def test_build_dataset_requires_complete_pairs(tmp_path):

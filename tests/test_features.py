@@ -117,7 +117,7 @@ def _instances(draw):
             max_size=6,
         )
     )
-    return Instance(tuple(objective), tuple(constraints), n_vars, len(constraints))
+    return Instance.from_terms(tuple(objective), tuple(constraints), n_vars, len(constraints))
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,7 +187,7 @@ def test_reordering_invariance():
             type(c)(tuple(rng.sample(c.terms, len(c.terms))), c.relation, c.rhs)
             for c in constraints
         ]
-        shuffled = Instance(
+        shuffled = Instance.from_terms(
             objective=inst.objective,
             constraints=tuple(constraints),
             num_variables=inst.num_variables,

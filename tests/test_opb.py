@@ -13,8 +13,8 @@ from pbselect.opb import (
     serialize,
 )
 
-from gen import random_instance
-from oracles import assignments
+from gen import mutate_document, random_instance
+from oracles import assignments, constraint_satisfied, objective_value, satisfied
 
 HEADER = "* #variable= 4 #constraint= 1\n"
 
@@ -26,7 +26,7 @@ def test_parse_basic_document():
     assert inst.declared_constraints == 1
     assert len(inst.constraints) == 1
     assert inst.objective == (Term(1, ((1, False),)), Term(2, ((2, False),)))
-    assert all(t.degree == 1 for t in inst.all_terms())
+    assert all(t.degree == 1 for t in inst.objective + inst.constraints[0].terms)
 
 
 def test_parse_nonlinear_without_objective():
@@ -107,6 +107,11 @@ _PARSE_ERRORS = [
     (HEADER + "+1 x1 >= " + "9" * 5000 + " ;\n", "more digits", 2, 10),
     (HEADER + "min: +1 x" + "1" * 5000 + " ;\n", "more digits", 2, 9),
     ("* #variable= " + "9" * 5000 + " #constraint= 0\nmin: +1 x1 ;\n", "more digits", 1, 14),
+    # ... also beside an integer that does not fit int64
+    (HEADER + "+12345678901234567890 x1 >= " + "9" * 5000 + " ;\n", "more digits", 2, 29),
+    # bytes that are not UTF-8, at their 1-based byte column
+    (b"* caf\xe9\nmin: +1 x1 ;\n", "invalid UTF-8 byte 0xe9", 1, 6),
+    (HEADER.encode() + "* \u00e9".encode() + b"\xff\n", "invalid UTF-8 byte 0xff", 2, 5),
 ]
 
 
@@ -181,7 +186,7 @@ def test_linearize_single_product_hand_checked():
             feasible = [
                 y
                 for y in (False, True)
-                if all(c.satisfied((x1, x2, y)) for c in aux_constraints)
+                if all(constraint_satisfied(c, (x1, x2, y)) for c in aux_constraints)
             ]
             assert feasible == [want]
 
@@ -213,7 +218,8 @@ def test_linearize_constraint_count_formula():
     for _ in range(50):
         inst = random_instance(rng, max_vars=8, max_degree=4)
         lin = linearize(inst)
-        products = {t.literals for t in inst.all_terms() if t.degree >= 2}
+        terms = inst.objective + tuple(t for c in inst.constraints for t in c.terms)
+        products = {t.literals for t in terms if t.degree >= 2}
         expected = len(inst.constraints) + sum(len(p) + 1 for p in products)
         assert len(lin.constraints) == expected
         assert lin.num_variables == inst.num_variables + len(products)
@@ -262,7 +268,25 @@ def test_linearize_preserves_satisfiability_and_objective():
         checked += 1
         for assignment in assignments(inst.num_variables):
             ext = _forced_extension(inst, lin, assignment)
-            assert inst.satisfied(assignment) == lin.satisfied(ext)
-            if inst.satisfied(assignment):
-                assert inst.objective_value(assignment) == lin.objective_value(ext)
+            assert satisfied(inst, assignment) == satisfied(lin, ext)
+            if satisfied(inst, assignment):
+                assert objective_value(inst, assignment) == objective_value(lin, ext)
     assert checked > 20
+
+
+def test_mutated_documents_parse_or_raise_opb_parse_error():
+    # the array checks hand every document they reject to the scalar
+    # locator, which must raise; no other exception may escape
+    rng = random.Random(8)
+    accepted = 0
+    for _ in range(2000):
+        doc = serialize(random_instance(rng, max_vars=rng.choice([3, 30]), max_degree=3))
+        if rng.random() < 0.2:
+            doc = doc.replace(">=", "<=")
+        try:
+            inst = parse_opb(mutate_document(rng, doc, rng.randint(1, 3)))
+        except OpbParseError:
+            continue
+        accepted += 1
+        assert parse_opb(serialize(inst)) == inst
+    assert 200 < accepted < 1800
