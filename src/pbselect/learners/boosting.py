@@ -5,7 +5,9 @@ regression tree per class to that class's negative gradient (one-hot minus
 softmax probability, scaled by the row weight); leaf values are a single
 Newton step, and the learning rate scales every update.  The weighted
 training loss after each stage is kept on the model so the expected
-monotone decrease can be checked.
+monotone decrease can be checked.  The class trees of a stage depend only
+on the stage's probabilities, so they grow as one batch of
+:meth:`EnsembleBuilder.grow`; stages grow one after another.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .forest import tree_rng
 from .tree import EnsembleBuilder, Sse, TreeEnsemble
+from .weights import checked_class_weight
 
 _PRIOR_FLOOR = 1e-12
 
@@ -82,9 +85,7 @@ def fit_gradient_boosting(
     y = np.asarray(y, dtype=np.intp)
     if len(np.unique(y)) < 2:
         raise SingleClassError("gradient boosting needs at least two classes")
-    if class_weight is None:
-        class_weight = np.ones(n_classes)
-    class_weight = np.asarray(class_weight, dtype=np.float64)
+    class_weight = checked_class_weight(class_weight, n_classes)
     w = class_weight[y]
 
     n = len(X)
@@ -95,29 +96,31 @@ def fit_gradient_boosting(
     onehot[np.arange(n), y] = 1.0
 
     scores = np.tile(init_scores, (n, 1))
-    losses = [_weighted_cross_entropy(softmax(scores), y, w)]
-    builder = EnsembleBuilder(X.shape[1], 1)
+    probs = softmax(scores)
+    losses = [_weighted_cross_entropy(probs, y, w)]
+    builder = EnsembleBuilder(X, 1)
+    rows = np.arange(n)
     newton_scale = (n_classes - 1) / n_classes
     for m in range(n_estimators):
-        probs = softmax(scores)
+        residuals = np.subtract(onehot.T, probs.T, out=np.empty((n_classes, n)))
+        stage = Sse(residuals, w)
+        first = len(builder.values)
+        builder.grow(
+            stage, [(tree_rng(seed, m, c), rows) for c in range(n_classes)],
+            max_depth=max_depth, max_features=max_features,
+        )
         for c in range(n_classes):
-            residual = onehot[:, c] - probs[:, c]
-            rng = tree_rng(seed, m, c)
-            leaf_of = builder.grow(
-                X, Sse(residual, w), rng, max_depth=max_depth, max_features=max_features
-            )
-            root = builder.roots[-1]
-            leaf_of -= root
-            # one Newton step per leaf
-            values = np.zeros(len(builder.feature) - root)
+            residual, leaf_of = residuals[c], stage.leaf_of[c]
+            # one Newton step per leaf, written into the tree's zero values
+            values = builder.values[first + c][:, 0]
             num = np.bincount(leaf_of, weights=w * residual, minlength=len(values))
             hess = np.abs(residual) * (1.0 - np.abs(residual))
             den = np.bincount(leaf_of, weights=w * hess, minlength=len(values))
             nz = den > 1e-150
             values[nz] = newton_scale * num[nz] / den[nz]
-            builder.values[root:] = values[:, None].tolist()
             scores[:, c] += learning_rate * values[leaf_of]
-        losses.append(_weighted_cross_entropy(softmax(scores), y, w))
+        probs = softmax(scores)
+        losses.append(_weighted_cross_entropy(probs, y, w))
 
     return GradientBoostingModel(
         init_scores=init_scores.tolist(),

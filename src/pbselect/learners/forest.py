@@ -1,4 +1,9 @@
-"""Random forest classifier built on the CART trees in :mod:`tree`."""
+"""Random forest classifier built on the CART trees in :mod:`tree`.
+
+All of a forest's bootstrap trees grow as one batch of
+:meth:`EnsembleBuilder.grow`, as many at a time as ``_BATCH_ROWS`` admits;
+each tree draws its bootstrap from its own generator as it joins.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tree import EnsembleBuilder, Gini, TreeEnsemble
+from .weights import checked_class_weight
 
 
 def tree_rng(seed: int, *index: int) -> np.random.Generator:
@@ -53,22 +59,21 @@ def fit_random_forest(
     y = np.asarray(y, dtype=np.intp)
     if len(X) == 0:
         raise ValueError("training set is empty")
-    if class_weight is None:
-        class_weight = np.ones(n_classes)
-    class_weight = np.asarray(class_weight, dtype=np.float64)
-    if len(class_weight) != n_classes:
-        raise ValueError("class_weight length must equal the number of classes")
+    if isinstance(n_estimators, bool) or not isinstance(n_estimators, (int, np.integer)) or n_estimators < 1:
+        raise ValueError(f"n_estimators must be an int >= 1, got {n_estimators!r}")
+    class_weight = checked_class_weight(class_weight, n_classes)
 
     n = len(X)
-    builder = EnsembleBuilder(X.shape[1], n_classes)
-    for i in range(n_estimators):
-        rng = tree_rng(seed, i)
-        idx = rng.integers(0, n, size=n)
-        Xb, yb = X[idx], y[idx]
-        builder.grow(
-            Xb, Gini(yb, class_weight[yb], n_classes), rng,
-            max_depth=max_depth, max_features=max_features,
-        )
+
+    def bootstraps():
+        for i in range(n_estimators):
+            rng = tree_rng(seed, i)
+            yield rng, rng.integers(0, n, size=n)
+
+    builder = EnsembleBuilder(X, n_classes)
+    builder.grow(
+        Gini(y, class_weight, builder.codes), bootstraps(), max_depth=max_depth, max_features=max_features
+    )
     return ForestModel(
         trees=builder.build(),
         n_features=X.shape[1],

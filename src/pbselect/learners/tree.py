@@ -1,14 +1,43 @@
 """CART trees grown from scratch on numpy, kept one flat table per ensemble.
 
-Every tree grows by the same loop: at every node a seeded sample of
-ceil(sqrt(d)) candidate features is scanned, thresholds sit at midpoints
-of consecutive distinct sorted values, rows go left when ``x <= threshold``,
-and a node becomes a leaf when it is pure, the depth cap is hit, or no
-candidate split has positive gain.  Classification trees (:class:`Gini`)
-maximize weighted Gini impurity decrease; regression trees (:class:`Sse`)
-maximize weighted variance (sum-of-squares) decrease.  Every accepted split
-adds its weighted impurity decrease to its tree's per-feature ledger, which
-feeds MDI importances.
+At every node a seeded sample of candidate features is scanned; thresholds
+sit between consecutive distinct values present in the node; rows go left
+when ``x <= threshold``; a node becomes a leaf when it is pure, the depth
+cap is hit, or no candidate split has positive gain.  Equal scores go to
+the first sampled feature, then the lowest threshold.  Classification
+trees (:class:`Gini`) maximize weighted Gini decrease, regression trees
+(:class:`Sse`) weighted variance decrease, and every split adds its
+weighted impurity decrease to its tree's per-feature (MDI) ledger.
+
+:meth:`EnsembleBuilder.grow` advances a batch of trees in lockstep: each
+step pops the next node of every growing tree's own depth-first stack
+(left child first) and searches them together.  A tree draws its features
+from its own generator, at the nodes and in the preorder that growing it
+alone would visit, so its nodes, numbering and random stream do not
+depend on the batch.  A batch holds trees while their samples fit in
+``_BATCH_ROWS`` rows, taking the next tree as one finishes; a step
+searches chunks of about ``_STEP_CELLS`` cells; finished trees join the
+table in tree order.
+
+Both criteria give the scores of a sort-and-cumsum scan of each node bit
+for bit, on column codes (each value's rank among its column's distinct
+values) computed once per fit:
+
+* Gini: in a node's sorted one-hot rows, class column c holds only 0.0
+  and the class weight w_c, and adding 0.0 is exact, so the running sum
+  after k rows of class c is ``S[k, c]``, w_c summed k times in sequence,
+  tabled once per fit.  One ``bincount`` over (node, feature, code, class)
+  and an integer cumsum give every cut's left class counts; ``S`` turns
+  them into the exact sums, and a node's class counts ride on its stack.
+* Sse: running sums of per-row residuals cannot be rebuilt from bin
+  totals, so each column is presorted once per fit (stable) and a node's
+  order is that order filtered by node membership, followed by the
+  sequential cumsums.  A node's own sums stay per-node pairwise sums.
+
+The threshold is the midpoint of the two values, or the lower value when
+the midpoint rounds up to the upper one (adjacent floats, or an overflowing
+sum), so ``x <= threshold`` always parts the rows as scored.  Rows are
+routed by comparing floats.
 
 A fitted ensemble is one :class:`TreeEnsemble`: node arrays holding every
 tree, where node i sends a row to ``left[i]`` when ``x[feature[i]] <=
@@ -21,125 +50,210 @@ at internal nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 _GAIN_EPS = 1e-12
 # (trees x rows) cells descended together: a chunk's gathers stay a few MB
 _CHUNK_CELLS = 1 << 14
+# Sample rows that the trees growing in one batch hold together
+_BATCH_ROWS = 1 << 15
+# Cells one chunk of a growth step searches: (row, feature) pairs plus
+# count-table entries, so a chunk's arrays stay a few hundred KB
+_STEP_CELLS = 1 << 14
 
 
-def sample_features(rng: np.random.Generator, n_features: int, max_features) -> np.ndarray:
-    """Candidate feature indices for one node, sampled without replacement."""
+def features_per_node(max_features, n_features: int) -> int | None:
+    """Candidate features drawn per node; None scans every feature in order."""
     if max_features is None:
-        return np.arange(n_features)
-    if max_features == "sqrt":
+        return None
+    if isinstance(max_features, str) and max_features == "sqrt":
         m = math.isqrt(n_features)
-        if m * m < n_features:
-            m += 1
-    else:
-        m = min(int(max_features), n_features)
-    return rng.choice(n_features, size=m, replace=False)
+        return m + 1 if m * m < n_features else m
+    if isinstance(max_features, (int, np.integer)) and not isinstance(max_features, bool):
+        if 1 <= max_features <= n_features:
+            return int(max_features)
+    raise ValueError(f"max_features must be None, 'sqrt' or an int in [1, {n_features}], got {max_features!r}")
 
 
-def gini_impurity(class_weights: np.ndarray) -> float:
-    total = class_weights.sum()
-    if total <= 0:
-        return 0.0
-    p = class_weights / total
-    return float(1.0 - (p * p).sum())
-
-
-def _best_threshold_gini(x: np.ndarray, cw: np.ndarray):
-    """Best (score, threshold) for one feature of a classification node.
-
-    ``cw`` holds per-row one-hot class weights aligned with ``x``.  The
-    maximized score is sum_c(L_c^2)/W_L + sum_c(R_c^2)/W_R, which orders
-    splits identically to weighted Gini decrease.
-    """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    pre = np.cumsum(cw[order], axis=0)
-    total = pre[-1]
-    cut = np.nonzero(xs[:-1] < xs[1:])[0]
-    if cut.size == 0:
-        return None
-    left = pre[cut]
-    right = total - left
-    wl = left.sum(axis=1)
-    wr = right.sum(axis=1)
-    score = (left * left).sum(axis=1) / wl + (right * right).sum(axis=1) / wr
-    k = int(np.argmax(score))
-    threshold = (xs[cut[k]] + xs[cut[k] + 1]) / 2.0
-    return float(score[k]), threshold
-
-
-def _best_threshold_sse(x: np.ndarray, w: np.ndarray, t: np.ndarray):
-    """Best (SSE_left + SSE_right, threshold) for one regression feature."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ws = w[order]
-    ts = t[order]
-    cw = np.cumsum(ws)
-    cwt = np.cumsum(ws * ts)
-    cwt2 = np.cumsum(ws * ts * ts)
-    cut = np.nonzero(xs[:-1] < xs[1:])[0]
-    if cut.size == 0:
-        return None
-    wl, wr = cw[cut], cw[-1] - cw[cut]
-    sl, sr = cwt[cut], cwt[-1] - cwt[cut]
-    ql, qr = cwt2[cut], cwt2[-1] - cwt2[cut]
-    sse = (ql - sl * sl / wl) + (qr - sr * sr / wr)
-    k = int(np.argmin(sse))
-    threshold = (xs[cut[k]] + xs[cut[k] + 1]) / 2.0
-    return float(sse[k]), threshold
+def _midpoint(lo, hi):
+    """Threshold between two adjacent distinct values: their midpoint, or
+    ``lo`` where the midpoint rounds up to ``hi`` (adjacent floats, or a sum
+    that overflows to inf), so that ``x <= threshold`` parts them."""
+    mid = (lo + hi) / 2.0
+    return np.where(mid < hi, mid, lo)
 
 
 class Gini:
-    """Classification criterion: the key of a split is its Gini score."""
+    """Classification criterion: the key of a split is its Gini score
+    sum_c(L_c^2)/W_L + sum_c(R_c^2)/W_R, which orders splits identically to
+    weighted Gini decrease.  Row weights are the weights of their class;
+    a node carries its class counts."""
 
-    def __init__(self, y: np.ndarray, w: np.ndarray, n_classes: int):
-        self.onehot = np.zeros((len(y), n_classes))
-        self.onehot[np.arange(len(y)), y] = w
+    def __init__(self, y: np.ndarray, class_weight: np.ndarray, codes: np.ndarray):
+        self.y = y
+        self.n_classes = k = len(class_weight)
+        n = codes.shape[1]
+        # S: row j holds each class weight summed j times in sequence
+        self.sums = np.zeros((n + 1, k))
+        np.cumsum(np.broadcast_to(class_weight, (n, k)), axis=0, out=self.sums[1:])
+        # a row's count-table cell within its feature's block: code * k + class
+        dtype = np.int32 if n * k < 2**31 else np.intp
+        self.cells = (codes.astype(dtype) * k + y.astype(dtype)).ravel()
 
-    def node(self, idx: np.ndarray):
-        """(key unsplit, whether to try splits, leaf value, per-feature scan)."""
-        rows = self.onehot[idx]
-        cw = rows.sum(axis=0)
-        total = cw.sum()
-        return (
-            float((cw * cw).sum()) / total,
-            int((cw > 0).sum()) > 1,
-            (cw / total).tolist(),
-            lambda col: _best_threshold_gini(col, rows),
-        )
+    def root(self, index: int, rows: np.ndarray) -> np.ndarray:
+        return np.bincount(self.y[rows], minlength=self.n_classes)
+
+    def _weights(self, counts: np.ndarray) -> np.ndarray:
+        return self.sums[counts, np.arange(self.n_classes)]
+
+    def stats(self, nodes: list, searched: list[bool]):
+        """(key unsplit, whether to try splits, leaf value) of each node."""
+        cw = self._weights(np.array([counts for _, _, counts in nodes]))
+        total = cw.sum(axis=1)
+        keys = (cw * cw).sum(axis=1) / total
+        return keys.tolist(), ((cw > 0).sum(axis=1) > 1).tolist(), (cw / total[:, None]).tolist()
+
+    def leaf(self, index: int, node: int, rows: np.ndarray) -> None:
+        pass
+
+    def search(self, builder: EnsembleBuilder, nodes: list) -> list:
+        """Best (key, feature, threshold, left counts, right counts) of each
+        node, or None when no candidate feature varies in it."""
+        # (node, feature) blocks in candidate order; a constant column cannot split
+        blocks = np.array(
+            [(i, f) for i, (_, _, _, feats) in enumerate(nodes) for f in feats.tolist() if builder.width[f] > 1],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        sizes = np.array([len(rows) for _, rows, _, _ in nodes])
+        # chunks of blocks of about _STEP_CELLS (row, feature) pairs and table cells
+        spent = np.cumsum(sizes[blocks[:, 0]] + self.n_classes * builder.width[blocks[:, 1]]) // _STEP_CELLS
+        found: list = [None] * len(nodes)
+        for chunk in np.split(blocks, np.flatnonzero(np.diff(spent)) + 1):
+            if len(chunk):
+                self._search(builder, nodes, chunk, found)
+        return found
+
+    def _search(self, builder: EnsembleBuilder, nodes: list, blocks: np.ndarray, found: list) -> None:
+        k = self.n_classes
+        n = builder.codes.shape[1]
+        node, f = blocks.T
+        sizes = np.array([len(nodes[i][1]) for i in node.tolist()])
+        rows = np.concatenate([nodes[i][1] for i in node.tolist()])
+        width = builder.width[f]
+        start = np.cumsum(width) - width
+        # the count table: one block of rows per (node, feature), one row per code
+        cells = self.cells.take(np.repeat(f * n, sizes) + rows) + np.repeat(start * k, sizes)
+        table = np.bincount(cells, minlength=int(width.sum()) * k).reshape(-1, k)
+        block = np.repeat(np.arange(len(blocks)), width)
+        cum = np.cumsum(table, axis=0)
+        before = cum[start - 1]
+        before[0] = 0
+        left = cum - before[block]
+        present = table.any(axis=1)
+        cut = np.flatnonzero(present & (left.sum(axis=1) < sizes[block]))
+        if not cut.size:
+            return
+        counts = np.array([c for _, _, c, _ in nodes])
+        lw = self._weights(left[cut])
+        rw = self._weights(counts)[node[block[cut]]] - lw
+        score = (lw * lw).sum(axis=1) / lw.sum(axis=1) + (rw * rw).sum(axis=1) / rw.sum(axis=1)
+        # each node's first best score, in (feature order, code) order
+        owner = node[block[cut]]
+        edge = np.concatenate(([True], owner[1:] != owner[:-1]))
+        winners = owner[edge]
+        hits = np.flatnonzero(score == np.maximum.reduceat(score, np.flatnonzero(edge))[np.cumsum(edge) - 1])
+        at = hits[np.searchsorted(owner[hits], winners)]
+        bins = cut[at]
+        fw = f[block[bins]]
+        present = np.flatnonzero(present)
+        above = present[np.searchsorted(present, bins, side="right")]
+        lo = builder.distinct[builder.offset[fw] + bins - start[block[bins]]]
+        hi = builder.distinct[builder.offset[fw] + above - start[block[bins]]]
+        with np.errstate(over="ignore"):
+            threshold = _midpoint(lo, hi)
+        goes_left = left[bins]
+        for i, w in enumerate(winners.tolist()):
+            key = float(score[at[i]])
+            if found[w] is None or key > found[w][0]:
+                found[w] = (key, int(fw[i]), float(threshold[i]), goes_left[i], counts[w] - goes_left[i])
 
 
 class Sse:
     """Regression criterion: the key of a split is minus its weighted SSE.
 
-    Leaf values stay zero; the caller sets them from the returned leaf of
-    each row.
+    Tree i of a batch fits ``targets[i]``.  Leaf values stay zero; the
+    caller sets them from ``leaf_of``, each tree's leaf (numbered within
+    the tree) of every row.
     """
 
     def __init__(self, targets: np.ndarray, w: np.ndarray):
         self.targets = targets
         self.w = w
+        self.leaf_of = np.zeros(targets.shape, dtype=np.int32)
 
-    def node(self, idx: np.ndarray):
-        wi = self.w[idx]
-        ti = self.targets[idx]
-        wt = float(wi.sum())
-        mean = float((wi * ti).sum()) / wt
-        parent_sse = float((wi * (ti - mean) ** 2).sum())
+    def root(self, index: int, rows: np.ndarray) -> None:
+        return None
 
-        def scan(col):
-            found = _best_threshold_sse(col, wi, ti)
-            return None if found is None else (-found[0], found[1])
+    def stats(self, nodes: list, searched: list[bool]):
+        keys, splittable = [], []
+        for (index, rows, _), go in zip(nodes, searched):
+            parent_sse = 0.0
+            if go:
+                wi = self.w[rows]
+                ti = self.targets[index][rows]
+                wt = float(wi.sum())
+                mean = float((wi * ti).sum()) / wt
+                parent_sse = float((wi * (ti - mean) ** 2).sum())
+            keys.append(-parent_sse)
+            splittable.append(parent_sse > _GAIN_EPS)
+        return keys, splittable, None
 
-        return -parent_sse, parent_sse > _GAIN_EPS, None, scan
+    def leaf(self, index: int, node: int, rows: np.ndarray) -> None:
+        self.leaf_of[index, rows] = node
+
+    def search(self, builder: EnsembleBuilder, nodes: list) -> list:
+        """Best (key, feature, threshold, None, None) of each node, or None
+        when no candidate feature varies in it."""
+        member = np.zeros(len(builder.X), dtype=bool)
+        found = []
+        for index, rows, _, feats in nodes:
+            member[rows] = True
+            best = None
+            for f in feats[builder.width[feats] > 1].tolist():
+                # the node's rows in the column's presorted order (a root holds every row once)
+                srt = builder.order[f]
+                if len(rows) < len(member):
+                    srt = srt.take(np.flatnonzero(member.take(srt)))
+                code = builder.codes[f].take(srt)
+                cut = np.flatnonzero(code[:-1] < code[1:])
+                if not cut.size:
+                    continue
+                # running sums of w, wt and wt^2, left and right of each cut
+                run = np.empty((len(srt), 3))
+                ts = self.targets[index].take(srt)
+                self.w.take(srt, out=run[:, 0])
+                np.multiply(run[:, 0], ts, out=run[:, 1])
+                np.multiply(run[:, 1], ts, out=run[:, 2])
+                np.cumsum(run, axis=0, out=run)
+                left = run[cut]
+                right = run[-1] - left
+                sse = (left[:, 2] - left[:, 1] * left[:, 1] / left[:, 0]) + (
+                    right[:, 2] - right[:, 1] * right[:, 1] / right[:, 0]
+                )
+                k = int(sse.argmin())
+                if best is None or -sse[k] > best[0]:
+                    best = (-float(sse[k]), f, srt[cut[k]:cut[k] + 2])
+            member[rows] = False
+            if best is not None:
+                lo, hi = builder.X[best[2], best[1]].tolist()  # floats: an overflow is inf, unwarned
+                best = (best[0], best[1], float(_midpoint(lo, hi)), None, None)
+            found.append(best)
+        return found
 
 
 @dataclass
@@ -184,86 +298,141 @@ class TreeEnsemble:
         return np.concatenate(parts)
 
 
-class EnsembleBuilder:
-    """Node lists that the trees of one ensemble grow into, one after another."""
+class _Tree:
+    """A growing tree: its generator, its depth-first stack of (rows, depth,
+    node, criterion state) and its node lists, numbered within the tree."""
 
-    def __init__(self, n_features: int, width: int):
-        self.n_features = n_features
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.values: list = []
-        self.roots: list[int] = []
+    def __init__(self, index: int, rng: np.random.Generator, root: tuple, n_features: int, zeros: list):
+        self.index = index
+        self.rng = rng
+        self.stack = [root]
+        self.feature, self.threshold, self.left, self.right = [-1], [0.0], [0], [0]
+        self.values = [zeros]
+        self.importances = np.zeros(n_features)
+        self._zeros = zeros
+
+    def split(self, node: int, f: int, threshold: float) -> tuple[int, int]:
+        left = len(self.feature)
+        self.feature[node], self.threshold[node] = f, threshold
+        self.left[node], self.right[node] = left, left + 1
+        self.feature += [-1, -1]
+        self.threshold += [0.0, 0.0]
+        self.left += [left, left + 1]
+        self.right += [left, left + 1]
+        self.values += [self._zeros, self._zeros]
+        return left, left + 1
+
+
+class EnsembleBuilder:
+    """The trees of one ensemble, fitted on ``X``: each finished tree's node
+    arrays, numbered within the tree, in tree order."""
+
+    def __init__(self, X: np.ndarray, width: int):
+        self.X = X = np.asarray(X, dtype=np.float64)
+        if np.isnan(X).any():
+            raise ValueError("cannot fit a tree on NaN features")
+        n, self.n_features = X.shape
+        # column codes: each value's rank among its column's sorted distinct values
+        self.codes = np.empty((self.n_features, n), dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+        distinct = []
+        for f in range(self.n_features):
+            values, codes = np.unique(X[:, f], return_inverse=True)
+            self.codes[f] = codes.ravel()
+            distinct.append(values)
+        self.width = np.array([len(values) for values in distinct], dtype=np.intp)
+        self.offset = np.cumsum(self.width) - self.width
+        self.distinct = np.concatenate(distinct + [np.zeros(0)])
+        self.feature: list[np.ndarray] = []
+        self.threshold: list[np.ndarray] = []
+        self.left: list[np.ndarray] = []
+        self.right: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []  # (nodes, width) per tree
         self.importances: list[np.ndarray] = []
         self._zeros = [0.0] * width
 
-    def _new_node(self) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(node)
-        self.right.append(node)
-        self.values.append(self._zeros)
-        return node
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Each column's rows sorted stably by value."""
+        order = np.empty(self.codes.shape, dtype=np.int32)
+        for f, codes in enumerate(self.codes):
+            order[f] = np.argsort(codes, kind="stable")
+        return order
 
-    def grow(
-        self,
-        X: np.ndarray,
-        criterion: Gini | Sse,
-        rng: np.random.Generator,
-        max_depth: int | None = None,
-        max_features="sqrt",
-    ) -> np.ndarray:
-        """Grow one tree on ``X``; returns the leaf node of each row."""
-        if len(X) == 0:
-            raise ValueError("cannot fit a tree on an empty sample")
-        n, d = X.shape
-        importances = np.zeros(d)
-        leaf_of = np.zeros(n, dtype=np.intp)
-        root = self._new_node()
-        self.roots.append(root)
-        stack = [(np.arange(n), 0, root)]
-        while stack:
-            idx, depth, node = stack.pop()
-            parent_key, splittable, leaf_value, scan = criterion.node(idx)
-            depth_ok = max_depth is None or depth < max_depth
-            best = None
-            if splittable and depth_ok and idx.size >= 2:
-                for f in sample_features(rng, d, max_features):
-                    col = X[idx, f]
-                    if col.min() == col.max():
-                        continue
-                    found = scan(col)
-                    if found is not None and (best is None or found[0] > best[0]):
-                        best = (found[0], int(f), found[1])
-                if best is not None and best[0] - parent_key <= _GAIN_EPS:
-                    best = None
-            if best is None:
-                leaf_of[idx] = node
-                if leaf_value is not None:
-                    self.values[node] = leaf_value
+    def grow(self, criterion: Gini | Sse, trees, max_depth: int | None = None, max_features="sqrt") -> None:
+        """Grow ``trees``, an iterable of (generator, sample rows of ``X``),
+        in lockstep, and add them to the table in iteration order."""
+        m = features_per_node(max_features, self.n_features)
+        capacity = max(1, _BATCH_ROWS // max(1, len(self.X)))
+        queue = enumerate(trees)
+        growing: list[_Tree] = []
+        done: dict[int, _Tree] = {}
+        added = 0
+        while True:
+            for index, (rng, rows) in itertools.islice(queue, capacity - len(growing)):
+                if len(rows) == 0:
+                    raise ValueError("cannot fit a tree on an empty sample")
+                root = (rows, 0, 0, criterion.root(index, rows))
+                growing.append(_Tree(index, rng, root, self.n_features, self._zeros))
+            if not growing:
+                break
+            self._step(criterion, growing, m, max_depth)
+            done.update((tree.index, tree) for tree in growing if not tree.stack)
+            growing = [tree for tree in growing if tree.stack]
+            while added in done:
+                self._add(done.pop(added))
+                added += 1
+
+    def _add(self, tree: _Tree) -> None:
+        self.feature.append(np.array(tree.feature, dtype=np.intp))
+        self.threshold.append(np.array(tree.threshold, dtype=np.float64))
+        self.left.append(np.array(tree.left, dtype=np.intp))
+        self.right.append(np.array(tree.right, dtype=np.intp))
+        self.values.append(np.array(tree.values, dtype=np.float64).reshape(-1, len(self._zeros)))
+        self.importances.append(tree.importances)
+
+    def _step(self, criterion: Gini | Sse, growing: list[_Tree], m: int | None, max_depth: int | None) -> None:
+        """Pop one node of every growing tree, then split it or make it a leaf."""
+        popped = [tree.stack.pop() for tree in growing]
+        searched = [len(rows) >= 2 and (max_depth is None or depth < max_depth) for rows, depth, _, _ in popped]
+        keys, splittable, values = criterion.stats(
+            [(tree.index, rows, state) for tree, (rows, _, _, state) in zip(growing, popped)], searched
+        )
+        candidates = [
+            (tree.index, rows, state, self._sample(tree.rng, m))
+            for tree, (rows, _, _, state), go, ok in zip(growing, popped, searched, splittable)
+            if go and ok
+        ]
+        best = iter(criterion.search(self, candidates) if candidates else ())
+        for i, (tree, (rows, depth, node, _)) in enumerate(zip(growing, popped)):
+            found = next(best) if searched[i] and splittable[i] else None
+            if found is None or found[0] - keys[i] <= _GAIN_EPS:
+                if values is not None:
+                    tree.values[node] = values[i]
+                criterion.leaf(tree.index, node, rows)
                 continue
-            key, f, threshold = best
+            key, f, threshold, left_state, right_state = found
             # weighted impurity decrease: W*i_parent - (W_L*i_L + W_R*i_R)
-            importances[f] += key - parent_key
-            go_left = X[idx, f] <= threshold
-            self.feature[node] = f
-            self.threshold[node] = threshold
-            self.left[node] = left = self._new_node()
-            self.right[node] = right = self._new_node()
-            stack.append((idx[~go_left], depth + 1, right))
-            stack.append((idx[go_left], depth + 1, left))
-        self.importances.append(importances)
-        return leaf_of
+            tree.importances[f] += key - keys[i]
+            go_left = self.X[rows, f] <= threshold
+            left, right = tree.split(node, f, threshold)
+            tree.stack.append((rows[~go_left], depth + 1, right, right_state))
+            tree.stack.append((rows[go_left], depth + 1, left, left_state))
+
+    def _sample(self, rng: np.random.Generator, m: int | None) -> np.ndarray:
+        """Candidate feature indices for one node, sampled without replacement."""
+        if m is None:
+            return np.arange(self.n_features)
+        return rng.choice(self.n_features, size=m, replace=False)
 
     def build(self) -> TreeEnsemble:
+        roots = np.cumsum([0] + [len(feature) for feature in self.feature], dtype=np.intp)
+        none = np.zeros(0, dtype=np.intp)
         return TreeEnsemble(
-            feature=np.array(self.feature, dtype=np.intp),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.intp),
-            right=np.array(self.right, dtype=np.intp),
-            roots=np.array(self.roots, dtype=np.intp),
-            values=np.array(self.values, dtype=np.float64).reshape(len(self.feature), len(self._zeros)),
+            feature=np.concatenate(self.feature + [none]),
+            threshold=np.concatenate(self.threshold + [np.zeros(0)]),
+            left=np.concatenate([left + root for left, root in zip(self.left, roots)] + [none]),
+            right=np.concatenate([right + root for right, root in zip(self.right, roots)] + [none]),
+            roots=roots[:-1],
+            values=np.concatenate(self.values + [np.zeros((0, len(self._zeros)))]),
             raw_importances=np.array(self.importances, dtype=np.float64).reshape(-1, self.n_features),
         )

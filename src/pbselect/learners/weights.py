@@ -27,3 +27,16 @@ def class_weights(y: np.ndarray, mode: str, n_classes: int) -> np.ndarray:
     out = np.ones(n_classes)
     out[present] = len(y) / (k * counts[present])
     return out
+
+
+def checked_class_weight(class_weight, n_classes: int) -> np.ndarray:
+    """The per-class weights a fit uses: ones when None, else one positive
+    finite weight per class."""
+    if class_weight is None:
+        return np.ones(n_classes)
+    class_weight = np.asarray(class_weight, dtype=np.float64)
+    if class_weight.shape != (n_classes,):
+        raise ValueError("class_weight length must equal the number of classes")
+    if not np.all(np.isfinite(class_weight) & (class_weight > 0)):
+        raise ValueError("class weights must be positive and finite")
+    return class_weight

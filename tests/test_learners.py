@@ -1,9 +1,13 @@
 import json
 import time
+import tracemalloc
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbselect.dataset import NO_SOLUTION
 from pbselect.features import encode_timestep, extract_basic, extract_nonlinear
@@ -14,9 +18,12 @@ from pbselect.learners.forest import ForestModel, fit_random_forest, tree_rng
 from pbselect.learners.knn import fit_knn
 from pbselect.learners.model_io import SchemaMismatchError, mdi_importance
 from pbselect.learners.train import hyperparams_for
-from pbselect.learners.tree import EnsembleBuilder, Gini, TreeEnsemble, gini_impurity
+from pbselect.learners import tree as tree_mod
+from pbselect.learners.tree import EnsembleBuilder, Gini, Sse, TreeEnsemble
 from pbselect.learners.weights import class_weights
 from pbselect.opb import parse_opb
+
+from oracles import OracleTrees, oracle_boosting, oracle_forest, oracle_gini_impurity, oracle_sse_node
 
 
 def _blobs(n=400, d=6, classes=3, seed=0, noise=0.0):
@@ -35,13 +42,14 @@ def _blobs(n=400, d=6, classes=3, seed=0, noise=0.0):
 
 
 def test_gini_impurity_value():
-    assert gini_impurity(np.array([2.0, 2.0])) == pytest.approx(0.5)
-    assert gini_impurity(np.array([4.0, 0.0])) == 0.0
+    assert oracle_gini_impurity(np.array([2.0, 2.0])) == pytest.approx(0.5)
+    assert oracle_gini_impurity(np.array([4.0, 0.0])) == 0.0
 
 
 def _one_tree(X, y, n_classes=2, max_features="sqrt"):
-    builder = EnsembleBuilder(X.shape[1], n_classes)
-    builder.grow(X, Gini(y, np.ones(len(y)), n_classes), tree_rng(0, 0), max_features=max_features)
+    builder = EnsembleBuilder(X, n_classes)
+    gini = Gini(y, np.ones(n_classes), builder.codes)
+    builder.grow(gini, [(tree_rng(0, 0), np.arange(len(y)))], max_features=max_features)
     return builder.build()
 
 
@@ -88,6 +96,158 @@ def test_ensemble_leaves_loop_to_themselves():
     # every row ends on a leaf of every tree after ``depth`` steps
     dist = trees.apply(X, lambda d: d.transpose(1, 0, 2).reshape(d.shape[1], -1))
     assert np.allclose(dist.reshape(len(X), 6, 3).sum(axis=2), 1.0)
+
+
+# --- lockstep grower against the one-node-at-a-time oracle ---------------------
+
+# Column values with ties, -0.0 beside 0.0, a subnormal, adjacent floats
+# (the midpoint of 1+eps and 1+2eps rounds up to the upper value) and two
+# values whose sum overflows
+_POOL = [
+    -3.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 2.5, 1e6, 1e308, 1.7e308,
+]
+
+
+@st.composite
+def _fit_inputs(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(d):
+        pool = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=6))
+        columns.append([draw(st.sampled_from(pool)) for _ in range(n)])
+    X = np.array(columns, dtype=np.float64).T.reshape(n, d)
+    if n > 2 and draw(st.booleans()):
+        X[n // 2:] = X[: n - n // 2]  # duplicated rows
+    y = np.array([draw(st.integers(0, k - 1)) for _ in range(n)], dtype=np.intp)
+    weight = np.array([draw(st.sampled_from([1.0, 0.1, 1 / 3, 0.7, 2.0, 1e-3])) for _ in range(k)])
+    max_features = draw(st.one_of(st.none(), st.just("sqrt"), st.integers(1, d)))
+    max_depth = draw(st.one_of(st.none(), st.integers(0, 4)))
+    # step cells and batch rows: the defaults, or small enough that chunks
+    # and batches hold a node or a tree at a time, or a few
+    step = draw(st.sampled_from([1, 3, 40, tree_mod._STEP_CELLS]))
+    batch = draw(st.sampled_from([1, 45, tree_mod._BATCH_ROWS]))
+    return X, y, k, weight, max_features, max_depth, step, batch
+
+
+def _assert_same_arrays(trees, expected):
+    for name, want in expected.items():
+        got = getattr(trees, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fit_inputs(), st.integers(1, 4), st.integers(0, 3))
+def test_forest_matches_one_node_oracle(inputs, n_estimators, seed):
+    X, y, k, weight, max_features, max_depth, step, batch = inputs
+    with mock.patch.object(tree_mod, "_STEP_CELLS", step), mock.patch.object(tree_mod, "_BATCH_ROWS", batch):
+        model = fit_random_forest(X, y, k, n_estimators=n_estimators, max_features=max_features,
+                                  max_depth=max_depth, seed=seed, class_weight=weight)
+    expected = oracle_forest(X, y, k, n_estimators, weight, max_features, max_depth, seed)
+    _assert_same_arrays(model.trees, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fit_inputs(), st.integers(1, 3), st.integers(0, 3))
+def test_boosting_matches_one_node_oracle(inputs, n_estimators, seed):
+    X, y, k, weight, max_features, max_depth, step, batch = inputs
+    if len(np.unique(y)) < 2:
+        return
+    with mock.patch.object(tree_mod, "_STEP_CELLS", step), mock.patch.object(tree_mod, "_BATCH_ROWS", batch):
+        model = fit_gradient_boosting(X, y, k, n_estimators=n_estimators, learning_rate=0.5,
+                                      max_depth=max_depth, max_features=max_features, seed=seed,
+                                      class_weight=weight)
+    expected, _ = oracle_boosting(X, y, k, n_estimators, 0.5, weight, max_depth, max_features, seed)
+    _assert_same_arrays(model.trees, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fit_inputs(), st.integers(1, 4), st.integers(0, 3))
+def test_regression_trees_and_leaves_match_oracle(inputs, n_trees, seed):
+    X, y, _, weight, max_features, max_depth, step, batch = inputs
+    rng = np.random.default_rng(seed)
+    # targets with ties, as residuals of a stage have
+    targets = rng.choice([-0.75, -0.25, 0.0, 0.1, 0.5], size=(n_trees, len(X)))
+    w = rng.choice(weight, size=len(X))
+    builder = EnsembleBuilder(X, 1)
+    stage = Sse(targets, w)
+    with mock.patch.object(tree_mod, "_STEP_CELLS", step), mock.patch.object(tree_mod, "_BATCH_ROWS", batch):
+        builder.grow(stage, [(tree_rng(seed, t), np.arange(len(X))) for t in range(n_trees)],
+                     max_depth=max_depth, max_features=max_features)
+    oracle = OracleTrees(X.shape[1], 1)
+    leaves = [
+        oracle.grow(X, oracle_sse_node(targets[t], w), tree_rng(seed, t), max_depth, max_features)
+        for t in range(n_trees)
+    ]
+    _assert_same_arrays(builder.build(), oracle.arrays())
+    assert np.array_equal(stage.leaf_of, np.array(leaves))
+
+
+@pytest.mark.parametrize("n, classes, seed", [(300, 3, 1), (700, 5, 2)])
+def test_long_sums_match_oracle(n, classes, seed):
+    # node sums over hundreds of rows, class weights whose multiples round
+    X, y = _blobs(n, d=5, classes=classes, seed=seed, noise=0.2)
+    X = np.round(X, 1)
+    weight = np.array([0.1, 1 / 3, 0.7, 1.1, 1 / 7])[:classes]
+    rf = fit_random_forest(X, y, classes, n_estimators=3, seed=seed, class_weight=weight)
+    _assert_same_arrays(rf.trees, oracle_forest(X, y, classes, 3, weight, seed=seed))
+    gb = fit_gradient_boosting(X, y, classes, n_estimators=3, learning_rate=0.25, seed=seed, class_weight=weight)
+    expected, _ = oracle_boosting(X, y, classes, 3, 0.25, weight, seed=seed)
+    _assert_same_arrays(gb.trees, expected)
+
+
+@pytest.mark.parametrize("fit", [fit_random_forest, fit_gradient_boosting])
+@pytest.mark.parametrize("bad", [0, -1, 7, 2.7, 2.0, "log2", True])
+def test_bad_max_features_rejected(fit, bad):
+    X, y = _blobs(40, d=6)
+    with pytest.raises(ValueError, match=r"max_features must be None, 'sqrt' or an int in \[1, 6\]"):
+        fit(X, y, 3, n_estimators=2, max_features=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -2, 1.5, True])
+def test_forest_bad_n_estimators_rejected(bad):
+    X, y = _blobs(40, d=3)
+    with pytest.raises(ValueError, match="n_estimators must be an int >= 1"):
+        fit_random_forest(X, y, 3, n_estimators=bad)
+
+
+def _offline_fine_like():
+    """5,000 rows of 10 instances at 500 timesteps, 15 features: 9 constant
+    columns, instance features with few distinct values, the timestep last;
+    4 of 5 classes present."""
+    rng = np.random.default_rng(2309)
+    instance = np.repeat(np.arange(10), 500)
+    step = np.tile(np.arange(500), 10)
+    X = rng.integers(1, 9, size=(10, 15)).astype(float)[instance]
+    X[:, 2:11] = 1.0
+    X[:, 13] = instance % 2
+    X[:, 14] = np.log(0.01 * (step + 1))
+    y = (instance * 3 + step // 90 + (rng.random(5000) < 0.1)) % 4
+    return X, y
+
+
+# tracemalloc peaks of these fits before the lockstep grower (one node at a
+# time), on Python 3.11 and numpy 2.4; the bound is 1.5 times that
+_FIT_PEAK_MB = {"rf": 2.38, "gb": 2.30}
+
+
+@pytest.mark.parametrize("family", ["rf", "gb"])
+def test_fit_memory_bounded(family):
+    X, y = _offline_fine_like()
+    weight = class_weights(y, "inverse-frequency", 5)
+    if family == "rf":
+        fit = lambda: fit_random_forest(X, y, 5, seed=0, class_weight=weight)  # noqa: E731
+    else:
+        fit = lambda: fit_gradient_boosting(X, y, 5, learning_rate=0.25, seed=0, class_weight=weight)  # noqa: E731
+    tracemalloc.start()
+    try:
+        fit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * _FIT_PEAK_MB[family] * 1e6
 
 
 # --- random forest --------------------------------------------------------------
@@ -149,6 +309,11 @@ def test_forest_class_weights_validated():
         fit_random_forest(X, y, 3, n_estimators=2, class_weight=np.ones(2))
     with pytest.raises(ValueError):
         fit_random_forest(X[:0], y[:0], 3)
+    for fit in (fit_random_forest, fit_gradient_boosting):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit(X, y, 3, n_estimators=2, class_weight=np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            fit(np.where(X > 1.5, np.nan, X), y, 3, n_estimators=2)
 
 
 # --- gradient boosting -----------------------------------------------------------
