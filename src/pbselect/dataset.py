@@ -171,7 +171,7 @@ def build_dataset(
         trajs = [archive.read_trajectory(iid, sid) for sid in solver_order]
         t0 = time.perf_counter()
         try:
-            inst = parse_opb_file(path, benchmark_id=bench)
+            inst = parse_opb_file(path)
             values = features.extract(inst, schema).values
         except (OSError, OpbParseError) as exc:
             skipped.append((iid, f"unparsable: {exc}"))
@@ -209,8 +209,11 @@ def split_by_benchmark(
 
     The shuffle is seeded and benchmarks are visited in sorted order, so the
     split is a deterministic function of (dataset, seed).  A single-instance
-    benchmark goes entirely to train.
+    benchmark goes entirely to train.  Raises ValueError unless
+    ``train_fraction`` lies in [0, 1].
     """
+    if not 0 <= train_fraction <= 1:
+        raise ValueError(f"train fraction {train_fraction} is not in [0, 1]")
     by_bench: dict[str, set[str]] = {}
     for bench, iid in zip(ds.benchmark_ids, ds.instance_ids):
         by_bench.setdefault(bench, set()).add(iid)
@@ -309,7 +312,7 @@ def read_csv(path: str | Path) -> LabeledDataset:
     Raises ValueError when the header is not the one the sidecar implies
     (as for a file of an older layout, which must be built again), and,
     naming the instance, when a line has another width than the header,
-    holds an unknown label or repeats an instance.
+    holds an unknown label or split part, or repeats an instance.
     """
     path = Path(path)
     meta = json.loads(_sidecar(path).read_text())
@@ -333,6 +336,8 @@ def read_csv(path: str | Path) -> LabeledDataset:
                 raise ValueError(f"{path}: instance {iid} has {len(rec)} of {len(header)} cells")
             if iid in lines:
                 raise ValueError(f"{path}: instance {iid} has two lines")
+            if rec[2] not in ("", TRAIN, TEST):
+                raise ValueError(f"{path}: instance {iid} has unknown split part {rec[2]!r}")
             try:
                 labels.append([label_index[name] for name in rec[first_label:]])
             except KeyError as exc:

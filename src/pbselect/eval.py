@@ -130,13 +130,11 @@ def context_from_trajectories(
     return EvalContext(grid, list(solver_order), ids, values, ranks)
 
 
-def build_context(
-    ds: LabeledDataset, archive: RunArchive, part: str | None = TEST
-) -> EvalContext:
-    """Load the trajectories of one split's instances, in dataset order."""
-    if part is not None and not ds.split:
+def build_context(ds: LabeledDataset, archive: RunArchive) -> EvalContext:
+    """Load the trajectories of the test instances, in dataset order."""
+    if not ds.split:
         raise ValueError("dataset has no train/test split yet")
-    ids = [iid for iid, keep in zip(ds.instance_ids, ds.part_mask(part)) if keep]
+    ids = [iid for iid, keep in zip(ds.instance_ids, ds.part_mask(TEST)) if keep]
     trajectories = {
         iid: {sid: archive.read_trajectory(iid, sid) for sid in ds.solver_order}
         for iid in ids
@@ -259,7 +257,7 @@ def evaluate_selector(
     if model.params.get("grid", ds.grid.params()) != ds.grid.params():
         raise ValueError("model was trained on a different timestep grid")
 
-    ctx = build_context(ds, archive, TEST)
+    ctx = build_context(ds, archive)
     X, truth = ds.matrix(TEST)
     if not len(truth):
         raise ValueError("dataset has no test rows")

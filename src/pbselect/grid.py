@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -38,8 +39,8 @@ def make_grid(
     """
     if count < 2:
         raise ValueError("grid needs at least 2 points")
-    if not (0 < t_min < horizon):
-        raise ValueError("need 0 < t_min < horizon")
+    if not (0 < t_min < horizon < math.inf):
+        raise ValueError(f"need 0 < t_min < horizon < inf, not t_min={t_min}, horizon={horizon}")
     ratio = horizon / t_min
     points = [t_min * ratio ** (j / (count - 1)) for j in range(count)]
     points[0] = t_min

@@ -9,8 +9,8 @@ the timestep grid), seed, MDI importances and the model's other fields.
 Fields computed from others (``init=False``) are not stored.  Another
 format name or version is rejected; formats 1 and 2 were one JSON
 document, read only to name its version, so their models must be trained
-again.  Members carry a fixed timestamp and training timings stay in
-memory, so two fits with the same seed write byte-identical files.
+again.  Members carry a fixed timestamp, so two fits with the same seed
+write byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import io
 import json
 import typing
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +94,6 @@ class TrainedModel:
     seed: int
     model: ForestModel | GradientBoostingModel | KnnModel
     mdi: list[float] | None = None
-    timings: dict = field(default_factory=dict, compare=False)
 
     @property
     def n_features(self) -> int:

@@ -13,8 +13,6 @@ Default hyperparameters per (family, schema) variant:
 
 from __future__ import annotations
 
-import time
-
 from ..dataset import NO_SOLUTION, TRAIN, LabeledDataset
 from .boosting import fit_gradient_boosting
 from .forest import fit_random_forest
@@ -37,14 +35,11 @@ DEFAULT_HYPERPARAMS: dict[tuple[str, str], dict] = {
 }
 
 
-def hyperparams_for(family: str, schema: str, overrides: dict | None = None) -> dict:
+def hyperparams_for(family: str, schema: str) -> dict:
     try:
-        params = dict(DEFAULT_HYPERPARAMS[(family, schema)])
+        return dict(DEFAULT_HYPERPARAMS[(family, schema)])
     except KeyError:
         raise ValueError(f"no defaults for family {family!r} with schema {schema!r}") from None
-    if overrides:
-        params.update(overrides)
-    return params
 
 
 def train_model(
@@ -53,7 +48,6 @@ def train_model(
     seed: int = 0,
     class_weight_mode: str = INVERSE_FREQUENCY,
     include_no_solution: bool = True,
-    overrides: dict | None = None,
 ) -> TrainedModel:
     """Fit one model family on the dataset's training rows.
 
@@ -70,9 +64,8 @@ def train_model(
     if not len(y):
         raise ValueError("no training rows (is the dataset split and non-empty?)")
     weights = class_weights(y, class_weight_mode, len(vocab))
-    params = hyperparams_for(family, ds.schema, overrides)
+    params = hyperparams_for(family, ds.schema)
 
-    t0 = time.perf_counter()
     mdi = None
     if family == RF:
         model = fit_random_forest(
@@ -98,7 +91,6 @@ def train_model(
         model = fit_knn(X, y, params["n_neighbors"], len(vocab))
     else:
         raise ValueError(f"unknown model family {family!r}")
-    elapsed = time.perf_counter() - t0
 
     return TrainedModel(
         family=family,
@@ -114,5 +106,4 @@ def train_model(
         seed=seed,
         model=model,
         mdi=mdi,
-        timings={"fit_seconds": elapsed, "n_rows": len(y)},
     )

@@ -1,17 +1,20 @@
 """The runtime meta-solver: pick a solver for a budget, then run it.
 
 The budget maps to the largest grid point at or below it (budgets smaller
-than the first grid point clamp to index 0 with a warning).  Preparation
-is deducted from the budget before the chosen solver is launched.  It is
-the overhead the evaluator charges (see :mod:`pbselect.eval`): parsing
-the instance, computing its features and predicting one row, but not
-loading the model.
+than the first grid point clamp to index 0 with a warning).  One clock
+times the preparation: it starts before the instance is parsed and stops
+after one predict, so it covers parsing, computing the features and
+predicting one row, but not loading the model.  This is the overhead the
+evaluator charges (see :mod:`pbselect.eval`); it is deducted from the
+budget before the chosen solver is launched and reported as
+``preparation_ms``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,24 +37,11 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 SOLVER_FAILED = "solver-failed"
 
 
-@dataclass
-class Choice:
-    label: str
-    probabilities: dict[str, float]
-    timestep_index: int
-    preparation_seconds: float
-
-    def fallback_solver(self, solver_ids: list[str]) -> str:
-        best = solver_ids[0]
-        for sid in solver_ids[1:]:
-            if self.probabilities[sid] > self.probabilities[best]:
-                best = sid
-        return best
-
-
-def choose_solver(model: TrainedModel, inst: Instance, budget: float) -> Choice:
-    """Deterministic selection step shared by solve() and the evaluator."""
-    t0 = time.perf_counter()
+def choose_solver(
+    model: TrainedModel, inst: Instance, budget: float
+) -> tuple[str, dict[str, float]]:
+    """The model's label and class probabilities for ``inst`` at the grid
+    timestep of ``budget``."""
     grid = make_grid(**model.params["grid"])
     index = grid.floor_index(budget)
     if index is None:
@@ -62,23 +52,17 @@ def choose_solver(model: TrainedModel, inst: Instance, budget: float) -> Choice:
         )
         index = 0
     row = extract(inst, model.schema).values + (encode_timestep(index, grid, model.encoding),)
-    label, probs = model.predict_values(row)
-    return Choice(
-        label=label,
-        probabilities=probs,
-        timestep_index=index,
-        preparation_seconds=time.perf_counter() - t0,
-    )
+    return model.predict_values(row)
 
 
 @dataclass
 class SolveOutcome:
-    chosen_solver: str | None
     predicted_label: str
-    objective: int | None
-    incumbent_seconds: float | None
     preparation_seconds: float
     exit_condition: str
+    chosen_solver: str | None = None
+    objective: int | None = None
+    incumbent_seconds: float | None = None
     assignment_path: str | None = None
 
     def to_json(self) -> str:
@@ -107,10 +91,12 @@ def solve(
 
     Returns the best incumbent found in what remains of the budget after
     preparation.  A NO_SOLUTION prediction either reports and stops or, with
-    ``on_no_solution="run-fallback"``, runs the most probable real solver.
+    ``on_no_solution="run-fallback"``, runs the most probable real solver,
+    the first in portfolio order on a tie.  Raises ValueError unless the
+    budget is positive and finite.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, not {budget}")
     if not isinstance(model, TrainedModel):
         model = TrainedModel.load(model)
     if not isinstance(portfolio, PortfolioConfig):
@@ -121,73 +107,36 @@ def solve(
 
     t0 = time.perf_counter()
     inst = parse_opb_file(instance_path)
-    choice = choose_solver(model, inst, budget)
+    label, probabilities = choose_solver(model, inst, budget)
     preparation = time.perf_counter() - t0
+    outcome = SolveOutcome(
+        predicted_label=label, preparation_seconds=preparation, exit_condition=BUDGET_EXHAUSTED
+    )
     remaining = budget - preparation
     if remaining <= 0:
-        return SolveOutcome(
-            chosen_solver=None,
-            predicted_label=choice.label,
-            objective=None,
-            incumbent_seconds=None,
-            preparation_seconds=preparation,
-            exit_condition=BUDGET_EXHAUSTED,
-        )
-
-    chosen = choice.label
-    if chosen == NO_SOLUTION:
-        if on_no_solution == NO_SOLUTION_REPORT:
-            return SolveOutcome(
-                chosen_solver=None,
-                predicted_label=NO_SOLUTION,
-                objective=None,
-                incumbent_seconds=None,
-                preparation_seconds=preparation,
-                exit_condition=NO_SOLUTION_PREDICTED,
-            )
-        chosen = choice.fallback_solver(portfolio.solver_ids)
-        logger.info("NO_SOLUTION predicted; falling back to %s", chosen)
-
-    adapter = portfolio.by_id(chosen)
-    try:
-        lines, status = run_adapter(adapter, instance_path, remaining)
-    except AdapterError as exc:
-        logger.error("%s", exc)
-        return SolveOutcome(
-            chosen_solver=chosen,
-            predicted_label=choice.label,
-            objective=None,
-            incumbent_seconds=None,
-            preparation_seconds=preparation,
-            exit_condition=SOLVER_FAILED,
-        )
-    events = parse_events(lines, adapter.parse_mode, remaining)
-
-    out_path = None
-    if assignment_path is not None:
-        payload = [line[2:] for _, line in lines if line.startswith("v ")]
-        if payload:
-            Path(assignment_path).write_text(" ".join(payload) + "\n")
-            out_path = str(assignment_path)
-
-    if not events:
-        condition = SOLVER_FAILED if status == "crashed" else OK
-        return SolveOutcome(
-            chosen_solver=chosen,
-            predicted_label=choice.label,
-            objective=None,
-            incumbent_seconds=None,
-            preparation_seconds=preparation,
-            exit_condition=condition,
-            assignment_path=out_path,
-        )
-    best_t, best_v = events[-1]
-    return SolveOutcome(
-        chosen_solver=chosen,
-        predicted_label=choice.label,
-        objective=best_v,
-        incumbent_seconds=best_t,
-        preparation_seconds=preparation,
-        exit_condition=OK,
-        assignment_path=out_path,
-    )
+        pass  # preparation used the whole budget: nothing is launched
+    elif label == NO_SOLUTION and on_no_solution == NO_SOLUTION_REPORT:
+        outcome.exit_condition = NO_SOLUTION_PREDICTED
+    else:
+        chosen = label
+        if chosen == NO_SOLUTION:
+            chosen = max(portfolio.solver_ids, key=probabilities.__getitem__)
+            logger.info("NO_SOLUTION predicted; falling back to %s", chosen)
+        outcome.chosen_solver = chosen
+        adapter = portfolio.by_id(chosen)
+        try:
+            lines, status = run_adapter(adapter, instance_path, remaining)
+        except AdapterError as exc:
+            logger.error("%s", exc)
+            outcome.exit_condition = SOLVER_FAILED
+        else:
+            events = parse_events(lines, adapter.parse_mode, remaining)
+            if events:
+                outcome.incumbent_seconds, outcome.objective = events[-1]
+            outcome.exit_condition = SOLVER_FAILED if status == "crashed" and not events else OK
+            if assignment_path is not None:
+                payload = [line[2:] for _, line in lines if line.startswith("v ")]
+                if payload:
+                    Path(assignment_path).write_text(" ".join(payload) + "\n")
+                    outcome.assignment_path = str(assignment_path)
+    return outcome

@@ -133,8 +133,7 @@ class Instance:
     other statements are the constraints, in document order, with
     ``relations`` and ``rhs``.  ``num_variables`` comes from the header
     when present, otherwise it is the largest index used.  Equality
-    compares everything but ``source_name`` and ``benchmark_id``, which are
-    identity metadata.
+    compares everything but ``source_name``, which is identity metadata.
     """
 
     coefficients: np.ndarray
@@ -148,7 +147,6 @@ class Instance:
     num_variables: int
     declared_constraints: int
     source_name: str = ""
-    benchmark_id: str = ""
 
     @classmethod
     def from_terms(
@@ -158,7 +156,6 @@ class Instance:
         num_variables: int,
         declared_constraints: int,
         source_name: str = "",
-        benchmark_id: str = "",
     ) -> Instance:
         """The instance holding these terms and constraints; a ValueError
         when a term or a relation breaks the rules of :class:`Term` and
@@ -178,7 +175,6 @@ class Instance:
             num_variables=num_variables,
             declared_constraints=declared_constraints,
             source_name=source_name,
-            benchmark_id=benchmark_id,
         )
         variables, starts = inst.variables, inst.term_starts
         if (
@@ -348,7 +344,7 @@ def _position(text: str, statement: int, token: int) -> tuple[int, int]:
 
 
 def _read(
-    statements: list[list[str]], header: tuple[int, int] | None, source_name: str, benchmark_id: str
+    statements: list[list[str]], header: tuple[int, int] | None, source_name: str
 ) -> Instance | None:
     """The instance, with every token classified, converted and checked at
     once; None when any check fails, which leaves the error to
@@ -461,7 +457,6 @@ def _read(
         num_variables=num_variables,
         declared_constraints=declared,
         source_name=source_name,
-        benchmark_id=benchmark_id,
     )
 
 
@@ -592,13 +587,13 @@ def _decode(data: bytes) -> str:
         raise OpbParseError(reason, len(lines), column) from None
 
 
-def parse_opb(text: str | bytes, source_name: str = "", benchmark_id: str = "") -> Instance:
+def parse_opb(text: str | bytes, source_name: str = "") -> Instance:
     """Parse an OPB document into a validated :class:`Instance`."""
     if isinstance(text, bytes):
         text = _decode(text)
     try:
         statements, header = _statements(text)
-        inst = _read(statements, header, source_name, benchmark_id)
+        inst = _read(statements, header, source_name)
         if inst is None:
             _locate(statements, header)
     except _Misplaced as exc:
@@ -607,12 +602,10 @@ def parse_opb(text: str | bytes, source_name: str = "", benchmark_id: str = "") 
     return inst
 
 
-def parse_opb_file(path: str | Path, benchmark_id: str | None = None) -> Instance:
-    """Parse an OPB file; the benchmark defaults to the parent directory name."""
+def parse_opb_file(path: str | Path) -> Instance:
+    """Parse an OPB file; its path becomes the ``source_name``."""
     path = Path(path)
-    if benchmark_id is None:
-        benchmark_id = path.parent.name or "default"
-    return parse_opb(path.read_bytes(), source_name=str(path), benchmark_id=benchmark_id)
+    return parse_opb(path.read_bytes(), source_name=str(path))
 
 
 def serialize(inst: Instance) -> str:
@@ -719,5 +712,4 @@ def linearize(inst: Instance) -> Instance:
         num_variables=inst.num_variables + len(k),
         declared_constraints=len(inst.relations) + len(sizes),
         source_name=inst.source_name,
-        benchmark_id=inst.benchmark_id,
     )

@@ -421,21 +421,18 @@ def run_portfolio(
     grid: TimestepGrid,
     archive_root: str | Path,
     parallelism: int | None = None,
-    benchmark_of=None,
 ) -> RunArchive:
     """Run every (solver, instance) pair that the archive does not hold yet.
 
-    Failures are isolated per pair and recorded as ``.error`` files; those
-    pairs are retried on the next invocation.  ``benchmark_of`` maps an
-    instance path to its benchmark id (default: parent directory name).
+    An instance's benchmark is the name of the directory holding it, or
+    ``default`` when its path names no directory; the archive manifest
+    records it.  Failures are isolated per pair and recorded as ``.error``
+    files; those pairs are retried on the next invocation.
     """
     archive = RunArchive(archive_root, grid)
-    if benchmark_of is None:
-        benchmark_of = lambda p: Path(p).parent.name or "default"
-
     jobs: list[tuple[SolverAdapter, str, str]] = []
     for path in sorted(str(p) for p in instance_paths):
-        bench = benchmark_of(path)
+        bench = Path(path).parent.name or "default"
         iid = instance_id_for(path, bench)
         archive.register_instance(iid, bench, path)
         for adapter in portfolio.adapters:

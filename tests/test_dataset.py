@@ -227,6 +227,13 @@ def test_split_ratio_and_determinism(tmp_path):
     assert different.split != split.split  # overwhelmingly likely
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan])
+def test_split_rejects_fraction_outside_unit_interval(tmp_path, fraction):
+    ds = _dataset_with_benchmarks(tmp_path, [3])
+    with pytest.raises(ValueError, match=f"train fraction {fraction} "):
+        split_by_benchmark(ds, seed=1, train_fraction=fraction)
+
+
 def test_split_never_leaks_instances(tmp_path):
     ds = _dataset_with_benchmarks(tmp_path, [6, 5])
     split = split_by_benchmark(ds, seed=7)
@@ -359,6 +366,8 @@ def test_read_csv_rejects_inconsistent_instance_lines(tmp_path):
         "short": (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + "\n"] + lines[3:], iid),
         "label": (lambda lines: lines[:2] + [lines[2].replace(",A", ",Z", 1)] + lines[3:], iid),
         "duplicate": (lambda lines: lines[:3] + [lines[2]] + lines[3:], iid),
+        "split": (lambda lines: lines[:2] + [lines[2].replace(f"{iid},{ds.split[iid]},", f"{iid},tset,", 1)]
+                  + lines[3:], f"{iid} has unknown split part 'tset'"),
     }
     for kind, (edit, match) in edits.items():
         write_csv(ds, out)

@@ -26,7 +26,10 @@ def test_strictly_increasing_with_constant_ratio():
     assert all(math.isclose(r, ratios[0], rel_tol=1e-9) for r in ratios)
 
 
-@pytest.mark.parametrize("count,horizon,t_min", [(1, 10.0, 1.0), (5, 10.0, 0.0), (5, 10.0, 10.0), (5, 1.0, 2.0)])
+@pytest.mark.parametrize(
+    "count,horizon,t_min",
+    [(1, 10.0, 1.0), (5, 10.0, 0.0), (5, 10.0, 10.0), (5, 1.0, 2.0), (3, math.inf, 1.0), (3, math.nan, 1.0)],
+)
 def test_invalid_parameters(count, horizon, t_min):
     with pytest.raises(ValueError):
         make_grid(count, horizon, t_min)
