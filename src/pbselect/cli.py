@@ -147,9 +147,7 @@ def cmd_evaluate(args) -> int:
     model = TrainedModel.load(args.model)
     ds = ds_mod.read_csv(args.dataset)
     archive = RunArchive(args.archive)
-    report = eval_mod.evaluate_selector(
-        model, ds, archive, overhead=args.overhead, sbs=args.sbs
-    )
+    report = eval_mod.evaluate_selector(model, ds, archive, sbs=args.sbs)
     sys.stdout.write(report.to_text())
     if args.out_dir:
         out = Path(args.out_dir)
@@ -258,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--archive", required=True)
     p.add_argument("--sbs", default="auto", help="solver id, or 'auto'")
-    ov = p.add_mutually_exclusive_group()
-    ov.add_argument("--overhead", dest="overhead", action="store_true", default=True)
-    ov.add_argument("--no-overhead", dest="overhead", action="store_false")
     p.add_argument("--out-dir", help="also write CSV tables here")
     p.set_defaults(fn=cmd_evaluate)
 

@@ -17,20 +17,20 @@ which is 0 for a perfect (virtual-best) selector and 1 for always running
 the single best solver.  Accuracy and the confusion matrix, by contrast,
 cover every test row.
 
-With overhead accounting on, each instance's overhead shifts the
-trajectory lookup to the largest grid point t_j' with t_j' + overhead <=
-t_j, so the selector only gets credit for what its solver could produce
-in the remaining budget.  Overhead has one definition, shared with
-:func:`pbselect.metaselect.solve`: the seconds to parse the instance,
-compute its features and predict one row.  Loading the model is not
-charged.
+Every report gives both gap ratios: ``m_hat``, and ``m_hat_overhead``,
+for which each instance's overhead shifts the trajectory lookup to the
+largest grid point t_j' with t_j' + overhead <= t_j, so the selector only
+gets credit for what its solver could produce in the remaining budget.
+Overhead has one definition, shared with :func:`pbselect.metaselect.solve`:
+the seconds to parse the instance, compute its features and predict one
+row.  Loading the model is not charged.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,13 +163,13 @@ class EvalReport:
     m_sbs: float
     m_vbs: float
     m_ms: float
-    m_ms_overhead: float | None
+    m_ms_overhead: float
     m_hat: float
-    m_hat_overhead: float | None
+    m_hat_overhead: float
     accuracy: float
     confusion: np.ndarray  # rows: true label, columns: predicted
     breakdown: dict[str, dict[str, int]]
-    per_timestep: list[tuple[int, float | None, float | None]] = field(default_factory=list)
+    per_timestep: list[tuple[int, float | None, float | None]]
 
     def to_text(self) -> str:
         lines = [
@@ -182,8 +182,7 @@ class EvalReport:
         lines.append(f"m_SBS = {self.m_sbs:.6f}")
         lines.append(f"m_ms  = {self.m_ms:.6f}")
         lines.append(f"m_hat (no overhead) = {self.m_hat:.6f}")
-        if self.m_hat_overhead is not None:
-            lines.append(f"m_hat (overhead)    = {self.m_hat_overhead:.6f}")
+        lines.append(f"m_hat (overhead)    = {self.m_hat_overhead:.6f}")
         lines.append(f"accuracy = {self.accuracy:.6f}")
         for policy, counts in self.breakdown.items():
             lines.append(
@@ -200,11 +199,8 @@ class EvalReport:
 
     def per_timestep_csv(self) -> str:
         lines = ["timestep,m_hat,m_hat_overhead"]
-        for j, plain, ov in self.per_timestep:
-            lines.append(
-                f"{j},{'' if plain is None else repr(plain)},"
-                f"{'' if ov is None else repr(ov)}"
-            )
+        for j, *ratios in self.per_timestep:
+            lines.append(f"{j}," + ",".join("" if r is None else repr(r) for r in ratios))
         return "\n".join(lines) + "\n"
 
     def breakdown_csv(self) -> str:
@@ -215,23 +211,16 @@ class EvalReport:
 
 
 def _per_timestep_series(
-    evaluated: np.ndarray,
-    sbs: np.ndarray,
-    vbs: np.ndarray,
-    policy: np.ndarray,
-    overhead: np.ndarray | None,
+    evaluated: np.ndarray, sbs: np.ndarray, vbs: np.ndarray, policy: np.ndarray, overhead: np.ndarray
 ) -> list[tuple[int, float | None, float | None]]:
-    """Gap ratio at each timestep that holds an evaluated pair."""
+    """Both gap ratios at each timestep holding an evaluated pair; None where m_SBS <= m_VBS."""
     series = []
     for j in np.flatnonzero(evaluated.any(axis=0)).tolist():
-        s, v, m, mo = (
-            None if a is None else math.fsum(a[evaluated[:, j], j].tolist())
-            for a in (sbs, vbs, policy, overhead)
-        )
+        s, v, m, mo = (math.fsum(a[evaluated[:, j], j].tolist()) for a in (sbs, vbs, policy, overhead))
         if s <= v:
             series.append((j, None, None))
         else:
-            series.append((j, (m - v) / (s - v), None if mo is None else (mo - v) / (s - v)))
+            series.append((j, (m - v) / (s - v), (mo - v) / (s - v)))
     return series
 
 
@@ -239,7 +228,6 @@ def evaluate_selector(
     model,
     ds: LabeledDataset,
     archive: RunArchive,
-    overhead: bool = True,
     sbs: str = "auto",
 ) -> EvalReport:
     """Score a trained model's selections on the dataset's test split.
@@ -278,22 +266,16 @@ def evaluate_selector(
 
     policy_values, policy_ranks = ctx.choose(labels)
     m_ms = ctx.metric(policy_values)
-    gap = m_hat(m_ms, m_sbs, m_vbs)
 
-    overhead_values = None
-    m_ms_overhead = None
-    gap_overhead = None
-    if overhead:
-        # the recorded parse and feature time plus one timed single-row prediction
-        seconds = np.zeros(len(ctx.instance_ids))
-        for i, iid in enumerate(ctx.instance_ids):
-            row = tuple(X[i * ds.grid.count].tolist())
-            t0 = time.perf_counter()
-            model.predict_values(row)
-            seconds[i] = ds.feature_seconds.get(iid, 0.0) + (time.perf_counter() - t0)
-        overhead_values, _ = ctx.choose(labels, seconds)
-        m_ms_overhead = ctx.metric(overhead_values)
-        gap_overhead = m_hat(m_ms_overhead, m_sbs, m_vbs)
+    # the recorded parse and feature time plus one timed single-row prediction
+    seconds = np.zeros(len(ctx.instance_ids))
+    for i, iid in enumerate(ctx.instance_ids):
+        row = tuple(X[i * ds.grid.count].tolist())
+        t0 = time.perf_counter()
+        model.predict_values(row)
+        seconds[i] = ds.feature_seconds.get(iid, 0.0) + (time.perf_counter() - t0)
+    overhead_values, _ = ctx.choose(labels, seconds)
+    m_ms_overhead = ctx.metric(overhead_values)
 
     evaluated = ctx.evaluated
     best_ranks = np.where(ctx.ranks < 0, np.iinfo(np.intp).max, ctx.ranks).min(axis=2)[evaluated]
@@ -313,8 +295,8 @@ def evaluate_selector(
         m_vbs=m_vbs,
         m_ms=m_ms,
         m_ms_overhead=m_ms_overhead,
-        m_hat=gap,
-        m_hat_overhead=gap_overhead,
+        m_hat=m_hat(m_ms, m_sbs, m_vbs),
+        m_hat_overhead=m_hat(m_ms_overhead, m_sbs, m_vbs),
         accuracy=accuracy,
         confusion=confusion,
         breakdown=breakdown,

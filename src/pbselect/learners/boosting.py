@@ -37,29 +37,21 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 class GradientBoostingModel:
     init_scores: list[float]
     trees: TreeEnsemble  # stage-major, one regression tree per class per stage
-    n_features: int
-    n_classes: int
-    n_estimators: int
     learning_rate: float
-    max_depth: int = 3
-    max_features: str = "sqrt"
-    seed: int = 0
-    class_weight: list[float] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list, repr=False)
 
     def _scores(self, values: np.ndarray) -> np.ndarray:
         # (stage, class, row) terms after the initial scores, summed in stage order
         n_rows = values.shape[1]
-        terms = np.empty((self.n_estimators + 1, self.n_classes, n_rows))
+        classes = len(self.init_scores)
+        stages = len(self.trees.roots) // classes
+        terms = np.empty((stages + 1, classes, n_rows))
         terms[0] = np.asarray(self.init_scores)[:, None]
-        terms[1:] = self.learning_rate * values.reshape(self.n_estimators, self.n_classes, n_rows)
+        terms[1:] = self.learning_rate * values.reshape(stages, classes, n_rows)
         return terms.sum(axis=0).T
 
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return self.trees.apply(X, self._scores)
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self.decision_scores(X))
+        return softmax(self.trees.apply(X, self._scores))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
@@ -85,8 +77,7 @@ def fit_gradient_boosting(
     y = np.asarray(y, dtype=np.intp)
     if len(np.unique(y)) < 2:
         raise SingleClassError("gradient boosting needs at least two classes")
-    class_weight = checked_class_weight(class_weight, n_classes)
-    w = class_weight[y]
+    w = checked_class_weight(class_weight, n_classes)[y]
 
     n = len(X)
     counts = np.bincount(y, weights=w, minlength=n_classes)
@@ -125,13 +116,6 @@ def fit_gradient_boosting(
     return GradientBoostingModel(
         init_scores=init_scores.tolist(),
         trees=builder.build(),
-        n_features=X.shape[1],
-        n_classes=n_classes,
-        n_estimators=n_estimators,
         learning_rate=learning_rate,
-        max_depth=max_depth,
-        max_features=max_features,
-        seed=seed,
-        class_weight=class_weight.tolist(),
         train_losses=losses,
     )

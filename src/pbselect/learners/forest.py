@@ -7,7 +7,7 @@ each tree draws its bootstrap from its own generator as it joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +23,6 @@ def tree_rng(seed: int, *index: int) -> np.random.Generator:
 @dataclass
 class ForestModel:
     trees: TreeEnsemble  # leaf values are class distributions
-    n_features: int
-    n_classes: int
-    n_estimators: int
-    max_features: str = "sqrt"
-    seed: int = 0
-    class_weight: list[float] = field(default_factory=list)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         n_trees = len(self.trees.roots)
@@ -74,12 +68,4 @@ def fit_random_forest(
     builder.grow(
         Gini(y, class_weight, builder.codes), bootstraps(), max_depth=max_depth, max_features=max_features
     )
-    return ForestModel(
-        trees=builder.build(),
-        n_features=X.shape[1],
-        n_classes=n_classes,
-        n_estimators=n_estimators,
-        max_features=max_features,
-        seed=seed,
-        class_weight=class_weight.tolist(),
-    )
+    return ForestModel(trees=builder.build())

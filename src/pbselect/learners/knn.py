@@ -12,20 +12,16 @@ _CHUNK_CELLS = 1 << 16
 
 @dataclass
 class KnnModel:
-    X: np.ndarray  # stored standardized when standardize is set
+    X: np.ndarray  # stored as (X - mean) / std
     y: np.ndarray
     k: int
     n_classes: int
-    mean: np.ndarray
-    std: np.ndarray
-    standardize: bool = True
-
-    def _transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.std if self.standardize else X
+    mean: np.ndarray  # zeros and ones when fitted without standardization,
+    std: np.ndarray  # so that the transform returns the rows exactly
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Vote shares of the k nearest training rows, a chunk of queries at a time."""
-        Q = self._transform(np.asarray(X, dtype=np.float64))
+        Q = (np.asarray(X, dtype=np.float64) - self.mean) / self.std
         chunk = max(1, _CHUNK_CELLS // self.X.size)
         one_hot = np.eye(self.n_classes)[self.y]
         parts = []
@@ -55,14 +51,8 @@ def fit_knn(
     y = np.asarray(y, dtype=np.intp)
     if not 1 <= k <= len(X):
         raise ValueError(f"k={k} must be between 1 and the training size {len(X)}")
+    mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
     if standardize:
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        mean, std = X.mean(axis=0), X.std(axis=0)
         std[std == 0.0] = 1.0  # constant features pass through unscaled
-    else:
-        mean = np.zeros(X.shape[1])
-        std = np.ones(X.shape[1])
-    stored = (X - mean) / std if standardize else X
-    return KnnModel(
-        X=stored, y=y, k=k, n_classes=n_classes, mean=mean, std=std, standardize=standardize
-    )
+    return KnnModel(X=(X - mean) / std, y=y, k=k, n_classes=n_classes, mean=mean, std=std)

@@ -30,9 +30,10 @@ values) computed once per fit:
   and an integer cumsum give every cut's left class counts; ``S`` turns
   them into the exact sums, and a node's class counts ride on its stack.
 * Sse: running sums of per-row residuals cannot be rebuilt from bin
-  totals, so each column is presorted once per fit (stable) and a node's
-  order is that order filtered by node membership, followed by the
-  sequential cumsums.  A node's own sums stay per-node pairwise sums.
+  totals, so each (node, feature) sorts the node's rows stably by code and
+  takes the sequential cumsums in that order.  Boosting's node rows are
+  increasing and distinct, so ties stay in row order.  A node's own sums
+  stay per-node pairwise sums.
 
 The threshold is the midpoint of the two values, or the lower value when
 the midpoint rounds up to the upper one (adjacent floats, or an overflowing
@@ -53,7 +54,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -219,16 +219,12 @@ class Sse:
     def search(self, builder: EnsembleBuilder, nodes: list) -> list:
         """Best (key, feature, threshold, None, None) of each node, or None
         when no candidate feature varies in it."""
-        member = np.zeros(len(builder.X), dtype=bool)
         found = []
         for index, rows, _, feats in nodes:
-            member[rows] = True
             best = None
             for f in feats[builder.width[feats] > 1].tolist():
-                # the node's rows in the column's presorted order (a root holds every row once)
-                srt = builder.order[f]
-                if len(rows) < len(member):
-                    srt = srt.take(np.flatnonzero(member.take(srt)))
+                # the node's rows stably sorted by code (rows increase, so ties keep row order)
+                srt = rows.take(np.argsort(builder.codes[f].take(rows), kind="stable"))
                 code = builder.codes[f].take(srt)
                 cut = np.flatnonzero(code[:-1] < code[1:])
                 if not cut.size:
@@ -248,7 +244,6 @@ class Sse:
                 k = int(sse.argmin())
                 if best is None or -sse[k] > best[0]:
                     best = (-float(sse[k]), f, srt[cut[k]:cut[k] + 2])
-            member[rows] = False
             if best is not None:
                 lo, hi = builder.X[best[2], best[1]].tolist()  # floats: an overflow is inf, unwarned
                 best = (best[0], best[1], float(_midpoint(lo, hi)), None, None)
@@ -349,14 +344,6 @@ class EnsembleBuilder:
         self.values: list[np.ndarray] = []  # (nodes, width) per tree
         self.importances: list[np.ndarray] = []
         self._zeros = [0.0] * width
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Each column's rows sorted stably by value."""
-        order = np.empty(self.codes.shape, dtype=np.int32)
-        for f, codes in enumerate(self.codes):
-            order[f] = np.argsort(codes, kind="stable")
-        return order
 
     def grow(self, criterion: Gini | Sse, trees, max_depth: int | None = None, max_features="sqrt") -> None:
         """Grow ``trees``, an iterable of (generator, sample rows of ``X``),

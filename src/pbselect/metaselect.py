@@ -91,9 +91,9 @@ def solve(
 
     Returns the best incumbent found in what remains of the budget after
     preparation.  A NO_SOLUTION prediction either reports and stops or, with
-    ``on_no_solution="run-fallback"``, runs the most probable real solver,
-    the first in portfolio order on a tie.  Raises ValueError unless the
-    budget is positive and finite.
+    ``on_no_solution="run-fallback"``, runs the most probable portfolio
+    solver the model was trained on, the first in portfolio order on a tie.
+    Raises ValueError unless the budget is positive and finite.
     """
     if not 0 < budget < math.inf:
         raise ValueError(f"budget must be positive and finite, not {budget}")
@@ -120,7 +120,7 @@ def solve(
     else:
         chosen = label
         if chosen == NO_SOLUTION:
-            chosen = max(portfolio.solver_ids, key=probabilities.__getitem__)
+            chosen = max((s for s in portfolio.solver_ids if s in probabilities), key=probabilities.__getitem__)
             logger.info("NO_SOLUTION predicted; falling back to %s", chosen)
         outcome.chosen_solver = chosen
         adapter = portfolio.by_id(chosen)

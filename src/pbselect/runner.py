@@ -23,9 +23,11 @@ import os
 import re
 import shlex
 import signal
+import string
 import subprocess
 import threading
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,13 +48,22 @@ class AdapterError(RuntimeError):
     """Adapter could not be launched (missing executable, bad command)."""
 
 
+def _fields(template: str):
+    """Each replacement field name of a format string, nested ones included."""
+    for _, name, spec, _ in string.Formatter().parse(template):
+        if name is not None:
+            yield name
+            yield from _fields(spec)
+
+
 @dataclass(frozen=True)
 class SolverAdapter:
     """An external solver launched via a command template.
 
-    The template may contain ``{instance}``, ``{budget}`` (seconds) and
-    ``{log}`` (a scratch path the adapter may use) placeholders, either in
-    a single shell-like string or a pre-split argument list.
+    The template is a single shell-like string or a pre-split argument
+    list.  Its only placeholders are ``{instance}`` (the instance path) and
+    ``{budget}`` (seconds); ``{{`` and ``}}`` are literal braces.  Any other
+    field, or an unbalanced brace, is rejected when the adapter is built.
     """
 
     solver_id: str
@@ -62,11 +73,20 @@ class SolverAdapter:
     def __post_init__(self):
         if self.parse_mode not in (EVENT_STREAM, FINAL_ONLY):
             raise ValueError(f"unknown parse mode {self.parse_mode!r}")
+        try:
+            fields = [name for part in self._parts() for name in _fields(part)]
+        except ValueError as exc:  # an unbalanced quote or brace
+            raise ValueError(f"solver {self.solver_id!r}: {exc} in {self.command!r}") from None
+        for name in fields:
+            if name not in ("instance", "budget"):
+                raise ValueError(f"solver {self.solver_id!r}: unknown placeholder {{{name}}} in {self.command!r}")
 
-    def argv(self, instance: str, budget: float, log: str = "") -> list[str]:
-        parts = shlex.split(self.command) if isinstance(self.command, str) else list(self.command)
-        subst = {"instance": str(instance), "budget": repr(float(budget)), "log": log}
-        return [p.format_map(subst) for p in parts]
+    def _parts(self) -> list[str]:
+        return shlex.split(self.command) if isinstance(self.command, str) else list(self.command)
+
+    def argv(self, instance: str, budget: float) -> list[str]:
+        subst = {"instance": str(instance), "budget": repr(float(budget))}
+        return [p.format_map(subst) for p in self._parts()]
 
 
 @dataclass
@@ -107,7 +127,7 @@ class PortfolioConfig:
 class Trajectory:
     """One solver's incumbent history on one instance, plus grid samples.
 
-    ``events`` are (seconds, objective) pairs, increasing in time and
+    ``events`` are (seconds, objective) pairs, nondecreasing in time and
     strictly decreasing in objective.  ``sampled[j]`` is the best objective
     achieved at or before grid point j, or None while no solution exists.
     """
@@ -120,15 +140,8 @@ class Trajectory:
     status: str = "ok"
 
     def achievement_times(self, grid: TimestepGrid) -> list[float | None]:
-        out: list[float | None] = [None] * grid.count
-        ei = 0
-        last: float | None = None
-        for j, t_j in enumerate(grid.points):
-            while ei < len(self.events) and self.events[ei][0] <= t_j:
-                last = self.events[ei][0]
-                ei += 1
-            out[j] = last
-        return out
+        """Time of the incumbent held at each grid point, or None."""
+        return [self.events[i][0] if i >= 0 else None for i in last_events(self.events, grid)]
 
 
 def parse_events(
@@ -160,19 +173,20 @@ def parse_events(
     return tuple(events)
 
 
+def last_events(events: tuple[tuple[float, int], ...], grid: TimestepGrid) -> list[int]:
+    """Index of the last event at or before each grid point, -1 before the first."""
+    index: list[int] = []
+    for i, (t, _) in enumerate(events):
+        # the points before the first one at or after t still hold event i - 1
+        index += [i - 1] * (bisect_left(grid.points, t, len(index)) - len(index))
+    return index + [len(events) - 1] * (grid.count - len(index))
+
+
 def sample_events(
     events: tuple[tuple[float, int], ...], grid: TimestepGrid
 ) -> tuple[int | None, ...]:
     """Step-function sample: best value among events at time <= t_j."""
-    sampled: list[int | None] = [None] * grid.count
-    ei = 0
-    best: int | None = None
-    for j, t_j in enumerate(grid.points):
-        while ei < len(events) and events[ei][0] <= t_j:
-            best = events[ei][1]
-            ei += 1
-        sampled[j] = best
-    return tuple(sampled)
+    return tuple(events[i][1] if i >= 0 else None for i in last_events(events, grid))
 
 
 def _signal_group(pgid: int, sig: int) -> None:
@@ -183,7 +197,7 @@ def _signal_group(pgid: int, sig: int) -> None:
 
 
 def run_adapter(
-    adapter: SolverAdapter, instance_path: str | Path, budget: float, log_path: str = ""
+    adapter: SolverAdapter, instance_path: str | Path, budget: float
 ) -> tuple[list[tuple[float, str]], str]:
     """Launch the adapter and capture timestamped stdout lines.
 
@@ -194,7 +208,7 @@ def run_adapter(
     captured lines and a status: "ok" for a clean exit or a budget kill,
     "crashed" for a nonzero exit.
     """
-    argv = adapter.argv(str(instance_path), budget, log_path)
+    argv = adapter.argv(str(instance_path), budget)
     try:
         proc = subprocess.Popen(
             argv,

@@ -294,9 +294,6 @@ def test_forest_majority_vote_and_tie_break():
             values=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             raw_importances=np.zeros((2, 1)),
         ),
-        n_features=1,
-        n_classes=3,
-        n_estimators=2,
     )
     rows = np.array([[0.0], [5.0]])
     assert tie.predict_proba(rows).tolist() == [[0.0, 0.5, 0.5]] * 2
@@ -397,7 +394,7 @@ def test_knn_distance_tie_includes_earlier_row():
 
 def _stable_knn_proba(model, X):
     """Vote shares of the first k rows of a stable sort of the distances."""
-    Q = (X - model.mean) / model.std if model.standardize else X
+    Q = (X - model.mean) / model.std
     distances = np.sqrt(((model.X[None, :, :] - Q[:, None, :]) ** 2).sum(axis=2))
     nearest = np.argsort(distances, axis=1, kind="stable")[:, : model.k]
     votes = model.y[nearest][:, :, None] == np.arange(model.n_classes)
@@ -567,6 +564,37 @@ def test_format3_save_load_save_is_byte_identical(family, tmp_path, monkeypatch)
     assert first.read_bytes() == second.read_bytes()
     X = np.random.default_rng(4).normal(size=(30, 3))
     assert again.model.predict_proba(X).tobytes() == tm.model.predict_proba(X).tobytes()
+
+
+# model fields that files written before they were dropped still hold in
+# their header; prediction never read them
+_DROPPED_MODEL_KEYS = {
+    "rf": {"n_features": 3, "n_classes": 3, "n_estimators": 5, "max_features": "sqrt", "seed": 0,
+           "class_weight": [1.0, 1.0, 1.0]},
+    "gb": {"n_features": 3, "n_classes": 3, "n_estimators": 4, "max_depth": 3, "max_features": "sqrt",
+           "seed": 0, "class_weight": [1.0, 1.0, 1.0]},
+    "knn": {"standardize": True},
+}
+
+
+@pytest.mark.parametrize("family", ["rf", "gb", "knn"])
+def test_file_with_dropped_model_keys_loads_and_predicts_the_same(family, tmp_path):
+    tm = _trained(family)
+    new, old = tmp_path / "new.zip", tmp_path / "old.zip"
+    tm.save(new)
+    with zipfile.ZipFile(new) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    header = json.loads(members["header.json"])
+    assert not set(_DROPPED_MODEL_KEYS[family]) & set(header["model"])
+    header["model"].update(_DROPPED_MODEL_KEYS[family])
+    members["header.json"] = json.dumps(header).encode()
+    with zipfile.ZipFile(old, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    X = np.random.default_rng(6).normal(size=(30, 3))
+    loaded = TrainedModel.load(old)
+    assert loaded.model.predict_proba(X).tobytes() == tm.model.predict_proba(X).tobytes()
+    assert loaded.predict_batch(X).tolist() == tm.predict_batch(X).tolist()
 
 
 def test_trained_model_rejects_schema_mismatch(tmp_path):

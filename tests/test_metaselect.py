@@ -31,7 +31,6 @@ def fixed_model(labels, vocabulary=VOCAB):
         n_classes=len(vocabulary),
         mean=np.zeros(width),
         std=np.ones(width),
-        standardize=False,
     )
     return TrainedModel(
         family="knn",
@@ -141,6 +140,14 @@ def test_no_solution_fallback_tie_takes_first_portfolio_solver(opb_file):
     # the portfolio declares b before a; the vocabulary lists a first
     p = portfolio(b="echo o 20", a="echo o 10")
     model = fixed_model([NO_SOLUTION, NO_SOLUTION, NO_SOLUTION, "a", "b"])
+    outcome = solve(opb_file, 10.0, model, p, on_no_solution=NO_SOLUTION_FALLBACK)
+    assert (outcome.chosen_solver, outcome.predicted_label, outcome.objective) == ("b", NO_SOLUTION, 20)
+
+
+def test_no_solution_fallback_skips_portfolio_solvers_the_model_lacks(opb_file):
+    # the portfolio declares c, which the model was not trained on
+    p = portfolio(a="echo o 10", b="echo o 20", c="echo o 30")
+    model = fixed_model([NO_SOLUTION, NO_SOLUTION, "b"])
     outcome = solve(opb_file, 10.0, model, p, on_no_solution=NO_SOLUTION_FALLBACK)
     assert (outcome.chosen_solver, outcome.predicted_label, outcome.objective) == ("b", NO_SOLUTION, 20)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -82,11 +83,19 @@ def test_parse_events_drops_past_horizon():
 def test_sampling_matches_bruteforce_on_random_events():
     rng = random.Random(9)
     grid = make_grid(8, 50.0, 0.5)
-    for _ in range(300):
+    for k in range(300):
         events = random_events(rng, grid.horizon)
+        if k % 3 == 0 and events:
+            # two lines read in one clock tick share a timestamp, at times a grid point's
+            shared = rng.choice([events[0][0], rng.choice(grid.points)])
+            times = sorted([shared, shared] + [t for t, _ in events[1:]])
+            events = tuple(zip(times, [events[0][1] + 1] + [v for _, v in events]))
         sampled = sample_events(events, grid)
+        achieved = _traj(events, grid).achievement_times(grid)
         for j, t in enumerate(grid.points):
             assert sampled[j] == oracle_sample(events, t)
+            # the time of the last event at or before t, by direct scan
+            assert achieved[j] == max((et for et, _ in events if et <= t), default=None)
 
 
 def test_grid_refinement_preserves_shared_points():
@@ -333,6 +342,31 @@ def test_portfolio_config_file(tmp_path):
     assert argv == ["solver-a", "inst.opb", "2.5"]
     with pytest.raises(KeyError):
         portfolio.by_id("zzz")
+
+
+@pytest.mark.parametrize("command, fault", [
+    ("solver {x}", "unknown placeholder {x}"),
+    (("solver", "--log={log}"), "unknown placeholder {log}"),
+    ("solver {budget:{width}}", "unknown placeholder {width}"),
+    ("solver {}", "unknown placeholder {}"),
+    ("solver {instance", "expected '}'"),
+    ("solver budget}", "Single '}'"),
+])
+def test_adapter_rejects_unknown_placeholders_and_unbalanced_braces(command, fault):
+    with pytest.raises(ValueError, match=r"solver 'a': .*" + re.escape(fault)):
+        SolverAdapter("a", command)
+
+
+def test_adapter_keeps_escaped_braces_literal():
+    adapter = SolverAdapter("a", "solver {{x}} {instance} {budget}")
+    assert adapter.argv("i.opb", 2) == ["solver", "{x}", "i.opb", "2.0"]
+
+
+def test_portfolio_with_unknown_placeholder_fails_before_any_run(tmp_path):
+    cfg = tmp_path / "portfolio.json"
+    cfg.write_text(json.dumps({"solvers": [{"id": "a", "command": "echo {x}"}]}))
+    with pytest.raises(ValueError, match=r"solver 'a': unknown placeholder \{x\}"):
+        PortfolioConfig.load(cfg)
 
 
 def test_duplicate_solver_ids_rejected():
