@@ -4,10 +4,10 @@ Scores start at the class log-priors.  Each stage fits one shallow
 regression tree per class to that class's negative gradient (one-hot minus
 softmax probability, scaled by the row weight); leaf values are a single
 Newton step, and the learning rate scales every update.  The weighted
-training loss after each stage is kept on the model so the expected
-monotone decrease can be checked.  The class trees of a stage depend only
-on the stage's probabilities, so they grow as one batch of
-:meth:`EnsembleBuilder.grow`; stages grow one after another.
+training loss after each stage is kept on the fitted model, not in its
+file, so the expected monotone decrease can be checked.  The class trees
+of a stage depend only on the stage's probabilities, so they grow as one
+batch of :meth:`EnsembleBuilder.grow`; stages grow one after another.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class GradientBoostingModel:
     init_scores: list[float]
     trees: TreeEnsemble  # stage-major, one regression tree per class per stage
     learning_rate: float
-    train_losses: list[float] = field(default_factory=list, repr=False)
+    # set by the fit; a loaded model has none
+    train_losses: list[float] = field(init=False, default_factory=list, repr=False)
 
     def _scores(self, values: np.ndarray) -> np.ndarray:
         # (stage, class, row) terms after the initial scores, summed in stage order
@@ -113,9 +114,8 @@ def fit_gradient_boosting(
         probs = softmax(scores)
         losses.append(_weighted_cross_entropy(probs, y, w))
 
-    return GradientBoostingModel(
-        init_scores=init_scores.tolist(),
-        trees=builder.build(),
-        learning_rate=learning_rate,
-        train_losses=losses,
+    model = GradientBoostingModel(
+        init_scores=init_scores.tolist(), trees=builder.build(), learning_rate=learning_rate
     )
+    model.train_losses = losses
+    return model

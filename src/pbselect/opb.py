@@ -16,6 +16,13 @@ with ``;``.  Relations ``>=``, ``<=`` and ``=`` are accepted on input;
 ``<=`` is rewritten to ``>=`` by negating both sides, so stored
 constraints only ever use ``>=`` and ``=``.
 
+The grammar is ASCII: blanks are the whitespace of ``bytes.split`` (space,
+``\t``, ``\n``, ``\v``, ``\f``, ``\r``), lines end at ``\n``, ``\r`` or
+``\r\n``, and digits are ``0``-``9``.  Comments may hold any UTF-8; other
+bytes, such as a Unicode digit or no-break space, are part of a token and
+make it malformed.  Bytes that are not UTF-8 are an error at their line
+and 1-based byte column; other errors are at a character column.
+
 An :class:`Instance` is columnar, in compressed-sparse-row form: one
 array entry per term (its coefficient), one per literal (variable index
 and negation flag, sorted by index within each term), offsets from terms
@@ -37,30 +44,27 @@ index above 2**63 - 1 is an error too.  All model types are frozen; an
 instance's arrays are not copied for its readers, who must not write to
 them.
 
-The reader splits each line on whitespace, then classifies, converts and
-checks every token of every term at once, with C-level ``map`` calls and
-numpy.  It keeps no positions.  Only when a check fails does a scalar
-walker re-read the statements to find the first error in document order;
-its line and column are computed from the text only then.
+The reader makes one array pass over the document's bytes: tokens are the
+runs between blanks and ``;`` bytes, each token's kind comes from its first
+byte, a table of the kinds that may follow each other checks the grammar,
+and the digits are converted at once.  Each token keeps its byte offset.
+Only when a check fails does a scalar walker read the tokens as text to
+find the first error in document order, with its line and column.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import itemgetter, mul, sub
 from pathlib import Path
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
 GEQ = ">="
 EQ = "="
-
-_HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
-
 
 class OpbParseError(ValueError):
     """Raised for malformed OPB input, with 1-based line/column position."""
@@ -229,191 +233,204 @@ def is_linear(inst: Instance) -> bool:
 _RELATIONS = (">=", "<=", "=", ">", "<")
 # the accepted relations, as stored: '<=' constraints are negated
 _STORED = {">=": GEQ, "<=": GEQ, "=": EQ}
-# the one way ``int`` fails on a token that ``_is_coefficient`` accepts
+# the one way ``int`` fails on a token of digits
 _TOO_LONG = "integer has more digits than the interpreter converts"
 _MAX_INDEX = 2**63 - 1
 
-# a token is its prefix then decimal digits; the prefix gives its kind
-_NEGATIVE, _LITERAL, _NEGATED = 2, 3, 4
-_PREFIX_KIND = {"": 1, "+": 1, "-": _NEGATIVE, "x": _LITERAL, "~x": _NEGATED}
+# token kinds, from a token's first byte and the byte after it; a coefficient
+# after a relation is a right-hand side
+_UNSIGNED, _SIGNED, _LITERAL, _NEGATED, _RHS, _RELATION, _EQUALS, _HEAD, _BAD = range(9)
+_KIND = np.full((256, 256), _BAD, np.uint8)
+for _first, _second, _kind in (
+    (b"0123456789", None, _UNSIGNED),
+    (b"+-", None, _SIGNED),
+    (b"x", None, _LITERAL),
+    (b"~", b"x", _NEGATED),
+    (b"<>", b"=", _RELATION),
+    (b"=", None, _EQUALS),
+    (b"m", b"i", _HEAD),
+):
+    _KIND[list(_first), slice(None) if _second is None else _second[0]] = _kind
+_KIND = _KIND.ravel()
+# the bytes before a token's digits, by kind: a relation and 'min:' are all prefix
+_PREFIX = np.array([0, 1, 1, 2, 0, 2, 1, 4, 0])
+# _FOLLOWS[(a * 9 + b) * 3 + end]: whether a token of kind b may follow one of
+# kind a that ends nothing (end 0), a constraint (1) or the objective (2)
+_FOLLOWS = np.zeros((9, 9, 3), bool)
+_COEFFICIENT, _LITERALS = [_UNSIGNED, _SIGNED], [_LITERAL, _NEGATED]
+for _a, _b, _end in (
+    ([_HEAD], _COEFFICIENT, 0),
+    (_COEFFICIENT, _LITERALS, 0),
+    (_LITERALS, _LITERALS + _COEFFICIENT + [_RELATION, _EQUALS], 0),
+    ([_RELATION, _EQUALS], [_RHS], 0),
+    ([_RHS], [_HEAD] + _COEFFICIENT, 1),
+    ([_HEAD] + _LITERALS, [_HEAD] + _COEFFICIENT, 2),
+):
+    _FOLLOWS[np.ix_(_a, _b, [_end])] = True
+_FOLLOWS = _FOLLOWS.ravel()
+# a relation as stored, by whether it is '='
+_STORED_AS = np.array([GEQ, EQ], dtype=object)
+_LONG = 18  # digits of a number that always fits int64
+
+_HEADER_RE = re.compile(
+    rb"\*[ \t\v\f]*#variable=[ \t\v\f]*([0-9]+)[ \t\v\f]+#constraint=[ \t\v\f]*([0-9]+)"
+)
+_LINE_END_RE = re.compile(rb"[\n\r]")
 
 
 class _Misplaced(Exception):
-    """A parse error as (reason, statement number, token number);
-    ``parse_opb`` turns it into an :class:`OpbParseError` with line and
-    column."""
+    """A parse error as (reason, statement number, token number), the
+    statement's ';' counting as the token after its last."""
 
 
-def _is_coefficient(tok: str) -> bool:
-    """``[+-]?`` then decimal digits, the shape ``int`` reads exactly."""
-    return (tok[1:] if tok[0] in "+-" else tok).isdecimal()
+class _Tokens(NamedTuple):
+    """A document's tokens and ';'s, comments left out, as byte offsets
+    into ``text``: the document between two added line ends."""
+
+    text: bytes
+    codes: np.ndarray  # ``text`` as uint8
+    solid: np.ndarray  # whether each byte is part of a token
+    starts: np.ndarray  # the first byte of each token
+    ends: np.ndarray  # one past each token's last byte
+    semis: np.ndarray  # the offset of each ';'
+    header: tuple[int, int] | None
+    header_error: int | None  # the offset of a header count too long to convert
 
 
-def _literal(tok: str) -> tuple[int, bool] | None:
-    """``(index, negated)`` of an ``x<i>`` or ``~x<i>`` token, else None."""
-    if tok[0] == "x":
-        digits, negated = tok[1:], False
-    elif tok[:2] == "~x":
-        digits, negated = tok[2:], True
-    else:
-        return None
-    return (int(digits), negated) if digits.isdecimal() else None
+def _tokenize(data: bytes) -> _Tokens:
+    """Split a document into tokens, with array work on its bytes.
+
+    A token is a run of bytes that are neither blank nor ';'.  A line whose
+    first non-blank byte is '*' is a comment; the first one of the header's
+    shape gives the counts.
+    """
+    text = b"\n" + data + b"\n"
+    codes = np.frombuffer(text, np.uint8)
+    is_semi = codes == ord(";")
+    solid = ~(is_semi | (codes == ord(" ")) | (codes - np.uint8(9) < 5))  # 9-13 are \t\n\v\f\r
+    header = header_error = None
+    star = text.find(b"*")
+    while star >= 0:
+        before = star - 1
+        while text[before] in b" \t\v\f":
+            before -= 1
+        if text[before] in b"\n\r":  # the first non-blank byte of its line
+            end = _LINE_END_RE.search(text, star).start()
+            solid[star:end] = is_semi[star:end] = False
+            m = _HEADER_RE.match(text, star) if header is None and header_error is None else None
+            try:
+                header = (int(m[1]), int(m[2])) if m else header
+            except ValueError:  # a count longer than ``int`` converts
+                header_error = m.start(1 if len(m[1]) > sys.get_int_max_str_digits() else 2)
+        star = text.find(b"*", star + 1)
+    edges = np.flatnonzero(solid[1:] != solid[:-1])
+    edges += 1
+    semis = np.flatnonzero(is_semi)
+    return _Tokens(text, codes, solid, edges[::2], edges[1::2], semis, header, header_error)
 
 
-def _header_counts(text: str, raw: str, m: re.Match) -> tuple[int, int]:
-    """The counts of header line ``raw``, matched by ``m`` after its indent."""
-    counts = []
-    for group in (1, 2):
-        try:
-            counts.append(int(m.group(group)))
-        except ValueError:
-            # ``raw`` is the first line equal to itself: an earlier copy
-            # would have been the header
-            column = len(raw) - len(raw.lstrip()) + m.start(group) + 1
-            raise OpbParseError(_TOO_LONG, text.splitlines().index(raw) + 1, column) from None
-    return counts[0], counts[1]
-
-
-def _statements(text: str) -> tuple[list[list[str]], tuple[int, int] | None]:
-    """Token lists of the ``;``-terminated statements, and the header counts
-    if a standard header comment was seen."""
-    header: tuple[int, int] | None = None
-    pending: list[str] = []
-    statements: list[list[str]] = []
-    for raw in text.splitlines():
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if tokens[0][0] == "*":
-            if header is None:
-                m = _HEADER_RE.match(raw.lstrip())
-                if m:
-                    header = _header_counts(text, raw, m)
-            continue
-        ends = raw.count(";")
-        if not ends:
-            pending += tokens
-            continue
-        last = tokens[-1]
-        if ends == 1 and last[-1] == ";":  # the usual line: one statement's end
-            pending += tokens
-            if last == ";":
-                pending.pop()
-                if not pending:
-                    raise _Misplaced("empty statement", len(statements), 0)
-            else:
-                pending[-1] = last[:-1]
-            statements.append(pending)
-            pending = []
-            continue
-        for tok in tokens:
-            if tok != ";" and tok.endswith(";"):
-                pending.append(tok[:-1])
-                tok = ";"
-            if tok == ";":
-                if not pending:
-                    raise _Misplaced("empty statement", len(statements), 0)
-                statements.append(pending)
-                pending = []
-            else:
-                pending.append(tok)
-    if pending:
-        raise _Misplaced("statement missing ';' terminator", len(statements), len(pending) - 1)
-    return statements, header
-
-
-def _position(text: str, statement: int, token: int) -> tuple[int, int]:
-    """Line and column of a statement's token, its ``;`` counting as the
-    token after its last; the one scan that tracks positions."""
-    s = k = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.lstrip()
-        if not stripped or stripped.startswith("*"):
-            continue
-        for m in re.finditer(r"\S+", raw):
-            tok, col = m.group(), m.start() + 1
-            if tok != ";" and tok.endswith(";"):
-                if (s, k) == (statement, token):
-                    return lineno, col
-                k += 1
-                tok, col = ";", col + len(tok) - 1
-            if (s, k) == (statement, token):
-                return lineno, col
-            s, k = (s + 1, 0) if tok == ";" else (s, k + 1)
-    raise ValueError(f"no token {token} in statement {statement}")
-
-
-def _read(
-    statements: list[list[str]], header: tuple[int, int] | None, source_name: str
-) -> Instance | None:
+def _read(doc: _Tokens, source_name: str) -> Instance | None:
     """The instance, with every token classified, converted and checked at
     once; None when any check fails, which leaves the error to
     :func:`_locate`."""
-    heads = list(map(itemgetter(0), statements))
-    has_objective = "min:" in heads
-    objective: list[str] = []
-    constraints = statements
-    if has_objective:
-        if heads.count("min:") > 1:
-            return None
-        s = heads.index("min:")
-        objective = statements[s][1:]
-        constraints = statements[:s] + statements[s + 1 :]
-    # a constraint is at least one term token, a relation and a right-hand side
-    sizes = list(map(len, constraints))
-    if min(sizes, default=3) < 3:
+    starts, ends, codes, semis = doc.starts, doc.ends, doc.codes, doc.semis
+    n = len(starts)
+    # statement s holds the tokens bounds[s]:bounds[s + 1]
+    bounds = np.concatenate(([0], np.searchsorted(starts, semis)))
+    sizes = bounds[1:] - bounds[:-1]
+    if (
+        doc.header_error is not None
+        or bounds[-1] < n
+        or sizes.min(initial=1) < 1
+        or doc.solid.take(semis + 1).any()  # a ';' that does not end its word
+    ):
         return None
-    relations = list(map(itemgetter(-2), constraints))
-    if not set(relations).issubset(_STORED):
+    lead = codes.take(starts)
+    pair = lead.astype(np.intp)
+    pair <<= 8
+    pair |= codes.take(starts + 1)
+    kind = _KIND.take(pair)
+    heads = np.flatnonzero(kind == _HEAD)
+    has_objective = len(heads) == 1
+    if len(heads) > 1:
         return None
 
-    # the term tokens of the objective, then of each constraint, then the
-    # right-hand sides; the term tokens of statement s are starts[s]:starts[s + 1]
-    tokens = list(
-        chain(
-            objective,
-            chain.from_iterable(map(itemgetter(slice(0, -2)), constraints)),
-            map(itemgetter(-1), constraints),
-        )
-    )
-    n = len(tokens) - len(constraints)
-    first = (0, len(objective)) if has_objective else (0,)
-    starts = np.fromiter(accumulate(chain(first, map(sub, sizes, repeat(2)))), np.int64)
-    digits = list(map(str.lstrip, tokens, repeat("+-~x")))
-    prefixes = map(str.removesuffix, tokens, digits)
-    # one byte per token: its kind, 0 for a token of no kind
-    kinds = bytes(map(mul, map(_PREFIX_KIND.get, prefixes, repeat(0)), map(str.isdecimal, digits)))
-    if 0 in kinds or max(kinds[n:], default=1) >= _LITERAL:
+    # the grammar, as the kinds that may follow each other: padded by the
+    # end of a constraint before the first token and a coefficient after the
+    # last; end[i] says which statement, if any, token i - 1 ends
+    role = np.empty(n + 2, np.uint8)
+    role[0], role[1:-1], role[-1] = _RHS, kind, _UNSIGNED
+    relations = np.flatnonzero((kind == _RELATION) | (kind == _EQUALS))
+    rhs = relations + 1
+    role[rhs + 1] = np.where(role.take(rhs + 1) < _LITERAL, _RHS, _BAD)
+    end = np.zeros(n + 2, np.uint8)
+    end[bounds] = 1
+    if has_objective:
+        s = int(np.searchsorted(bounds, heads[0], "right")) - 1
+        end[bounds[s + 1]] = 2
+    if not _FOLLOWS.take((role[:-1] * 9 + role[1:]) * 3 + end[:-1]).all():
         return None
-    kind = np.frombuffer(kinds, np.int8)
-    is_coefficient = kind < _LITERAL
-    at = np.flatnonzero(is_coefficient[:n])
-    # literals before each term, and after the last
-    term_starts = np.append(at - np.arange(len(at)), n - len(at))
-    # an empty objective is no region to check
-    edges = starts[1:] if has_objective and not objective else starts
-    # with every token a coefficient or a literal, and every right-hand side
-    # a coefficient, the grammar's (coefficient literal+)+ is every region
-    # opened by a coefficient and every term holding a literal
-    if not (is_coefficient[edges[:-1]].all() and (term_starts[1:] > term_starts[:-1]).all()):
+    if has_objective and doc.text[starts[heads[0]] : ends[heads[0]]] != b"min:":
         return None
-    try:
+    # each coefficient and literal holds digits after its prefix, and nothing
+    # else: every digit of a token is in one, and their widths add up to them;
+    # a relation or 'min:' holds its prefix alone
+    digit = codes - np.uint8(48)  # a byte's digit, 10 or more for any other byte
+    is_digit = digit < 10
+    numeric = kind < _RHS
+    width = ends - starts
+    width -= _PREFIX.take(kind)
+    if (np.minimum(width, 1) != numeric).any():
+        return None
+    if width.sum() != np.count_nonzero(is_digit & doc.solid):
+        return None
+
+    # each token's digits as an int64, last digit first: once they run out,
+    # the byte before them, which is no digit, is read as 0; a longer token as an int
+    digit *= is_digit
+    values, place = np.zeros(n, np.int64), np.empty(n, np.int64)
+    pos, before = ends - 1, ends - width
+    before -= 1
+    for j in range(min(width.max(initial=0), _LONG)):
+        np.multiply(digit.take(np.maximum(pos, before, out=pos)), 10**j, out=place, dtype=np.int64)
+        values += place
+        pos -= 1
+    long = np.flatnonzero(width > _LONG)
+    if len(long):
         try:
-            values = np.fromiter(map(int, digits), np.int64, len(digits))
-        except OverflowError:  # a value outside int64
-            values = np.array(list(map(int, digits)), dtype=object)
-    except ValueError:  # an integer longer than ``int`` converts
-        return None
-    is_literal = ~is_coefficient[:n]
+            spans = zip((ends[long] - width[long]).tolist(), ends[long].tolist())
+            big = [int(doc.text[a:z]) for a, z in spans]
+        except ValueError:  # an integer longer than ``int`` converts
+            return None
+        values = values.astype(object)
+        values[long] = big
+
+    # the term tokens of the objective, then of each constraint in order;
+    # regions[s] of them are statement s's
+    term = np.flatnonzero(role[1:-1] < _RHS)
+    regions = sizes - 2
+    if has_objective:
+        regions[s] += 1
+        if s:
+            a, z = np.searchsorted(term, bounds[s : s + 2])
+            term = np.concatenate((term[a:z], term[:a], term[z:]))
+            regions = np.concatenate((regions[s : s + 1], regions[:s], regions[s + 1 :]))
+    term_kind = kind.take(term)
+    term_values = values.take(term)
+    is_coefficient = term_kind < _LITERAL
+    at = np.flatnonzero(is_coefficient)
+    # literals before each term, and after the last
+    term_starts = np.append(at - np.arange(len(at)), len(term) - len(at))
+    is_literal = ~is_coefficient
     try:
-        variables = values[:n][is_literal].astype(np.int64)
+        variables = term_values.compress(is_literal).astype(np.int64, copy=False)
     except OverflowError:
         return None
-    negated = kind[:n][is_literal] == _NEGATED
+    negated = term_kind.compress(is_literal) == _NEGATED
     top = int(variables.max(initial=0))
-    if variables.min(initial=1) < 1 or (header is not None and top > header[0]):
+    if variables.min(initial=1) < 1 or (doc.header is not None and top > doc.header[0]):
         return None
-    statement_starts = np.searchsorted(at, starts)
+    statement_starts = np.searchsorted(at, _offsets(regions))
     if len(variables) > len(at) and _within_terms(variables[1:] <= variables[:-1], term_starts):
         term_of = np.repeat(np.arange(len(at)), np.diff(term_starts))
         order = np.lexsort((variables, term_of))
@@ -422,17 +439,18 @@ def _read(
             return None
 
     # signs: a '-' prefix, and both sides of a '<=' constraint negated
-    negative = kind[at] == _NEGATIVE
-    rhs_negative = kind[n:] == _NEGATIVE
-    if "<=" in relations:
-        leq = np.fromiter(map("<=".__eq__, relations), bool, len(relations))
+    negative = lead.take(term.take(at)) == ord("-")
+    rhs_negative = lead.take(rhs) == ord("-")
+    rel_lead = lead.take(relations)
+    leq = rel_lead == ord("<")
+    if leq.any():
         rhs_negative ^= leq
         first_term = statement_starts[int(has_objective)]
         negative[first_term:] ^= np.repeat(leq, np.diff(statement_starts[int(has_objective) :]))
-    coefficients = values[at]
-    np.negative(coefficients, out=coefficients, where=negative)
-    rhs = values[n:].copy()
-    np.negative(rhs, out=rhs, where=rhs_negative)
+    coefficients = term_values[at]
+    coefficients *= 1 - 2 * negative.view(np.int8)
+    rhs_values = values[rhs]
+    rhs_values *= 1 - 2 * rhs_negative.view(np.int8)
     if coefficients.dtype == object:
         coefficients = _int_array(coefficients.tolist())
     if not coefficients.all():  # zero-coefficient terms go, after their literals were checked
@@ -444,20 +462,37 @@ def _read(
         statement_starts = _offsets(kept)[statement_starts]
         term_starts = _offsets(degree[kept])
 
-    num_variables, declared = header if header is not None else (top, len(constraints))
+    num_variables, declared = doc.header if doc.header is not None else (top, len(relations))
     return Instance(
         coefficients=coefficients,
         term_starts=term_starts,
         variables=variables,
         negated=negated,
         statement_starts=statement_starts,
-        relations=tuple(map(_STORED.__getitem__, relations)),
-        rhs=tuple(rhs.tolist()),
+        relations=tuple(_STORED_AS.take(rel_lead == ord("=")).tolist()),
+        rhs=tuple(rhs_values.tolist()),
         has_objective=has_objective,
         num_variables=num_variables,
         declared_constraints=declared,
         source_name=source_name,
     )
+
+
+def _is_coefficient(tok: str) -> bool:
+    """``[+-]?`` then ASCII digits."""
+    digits = tok[1:] if tok[0] in "+-" else tok
+    return digits.isascii() and digits.isdigit()
+
+
+def _literal(tok: str) -> tuple[int, bool] | None:
+    """``(index, negated)`` of an ``x<i>`` or ``~x<i>`` token, else None."""
+    if tok[0] == "x":
+        digits, negated = tok[1:], False
+    elif tok[:2] == "~x":
+        digits, negated = tok[2:], True
+    else:
+        return None
+    return (int(digits), negated) if digits.isascii() and digits.isdigit() else None
 
 
 def _check_term(stmt: list[str], head: int, s: int) -> None:
@@ -540,9 +575,9 @@ def _first_use(statements: list[list[str]], var: int) -> tuple[int, int]:
     raise ValueError(f"x{var} does not occur")
 
 
-def _locate(statements: list[list[str]], header: tuple[int, int] | None) -> NoReturn:
-    """Raise the first error, in document order, of statements that
-    :func:`_read` rejected: the one scalar walk of the grammar."""
+def _walk(statements: list[list[str]], header: tuple[int, int] | None) -> NoReturn:
+    """Raise the first grammar error, in document order, of terminated,
+    non-empty statements."""
     seen_objective = False
     top = 0
     for s, stmt in enumerate(statements):
@@ -576,29 +611,70 @@ def _locate(statements: list[list[str]], header: tuple[int, int] | None) -> NoRe
     raise AssertionError("the array checks rejected a well-formed document")
 
 
-def _decode(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the lines before the bad byte decode; the '?' stands for it
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
-        column = len(lines[-1][:-1].encode("utf-8")) + 1
-        reason = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
-        raise OpbParseError(reason, len(lines), column) from None
+def _last_line(head: bytes) -> tuple[int, bytes]:
+    """The 1-based number and the text of the last line of ``head``: a
+    document's bytes up to a position, after an added line end."""
+    number = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return number, head[max(head.rfind(b"\n"), head.rfind(b"\r")) + 1 :]
+
+
+def _locate(doc: _Tokens) -> NoReturn:
+    """Raise the first error, in document order, of a document that
+    :func:`_read` rejected: the one scalar walk of the grammar, with the
+    line and column of the error's byte."""
+    text = doc.text
+    # a word is a run of token bytes and ';'s; its final ';' ends a
+    # statement, and the rest of it is a token
+    word = doc.solid.copy()
+    word[doc.semis] = True
+    edges = np.flatnonzero(word[1:] != word[:-1]) + 1
+    statements: list[list[str]] = [[]]
+    offsets: list[list[int]] = [[]]  # each token's, then the statement's ';'
+    for a, z in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        glued = text[z - 1] == ord(";")
+        if z - glued > a:
+            statements[-1].append(text[a : z - glued].decode("utf-8", "surrogatepass"))
+            offsets[-1].append(a)
+        if glued:
+            offsets[-1].append(z - 1)
+            statements.append([])
+            offsets.append([])
+    empty = next((s for s, stmt in enumerate(statements[:-1]) if not stmt), None)
+    # the errors of reading the lines come first, in document order
+    if doc.header_error is not None and (empty is None or doc.header_error < offsets[empty][0]):
+        reason, offset = _TOO_LONG, doc.header_error
+    else:
+        try:
+            if empty is not None:
+                raise _Misplaced("empty statement", empty, 0)
+            if statements[-1]:
+                s = len(statements) - 1
+                raise _Misplaced("statement missing ';' terminator", s, len(statements[s]) - 1)
+            _walk(statements[:-1], doc.header)
+        except _Misplaced as exc:
+            reason, s, k = exc.args
+            offset = offsets[s][k]
+    line, before = _last_line(text[:offset])
+    raise OpbParseError(reason, line, len(before.decode("utf-8", "surrogatepass")) + 1)
 
 
 def parse_opb(text: str | bytes, source_name: str = "") -> Instance:
     """Parse an OPB document into a validated :class:`Instance`."""
-    if isinstance(text, bytes):
-        text = _decode(text)
-    try:
-        statements, header = _statements(text)
-        inst = _read(statements, header, source_name)
-        if inst is None:
-            _locate(statements, header)
-    except _Misplaced as exc:
-        reason, statement, token = exc.args
-        raise OpbParseError(reason, *_position(text, statement, token)) from None
+    if isinstance(text, str):
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        data = text
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line, before = _last_line(b"\n" + data[: exc.start])
+                reason = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+                raise OpbParseError(reason, line, len(before) + 1) from None
+    doc = _tokenize(data)
+    inst = _read(doc, source_name)
+    if inst is None:
+        _locate(doc)
     return inst
 
 

@@ -49,10 +49,11 @@ class AdapterError(RuntimeError):
 
 
 def _fields(template: str):
-    """Each replacement field name of a format string, nested ones included."""
-    for _, name, spec, _ in string.Formatter().parse(template):
+    """(name, format spec, conversion) of each replacement field of a format
+    string, nested ones included."""
+    for _, name, spec, conversion in string.Formatter().parse(template):
         if name is not None:
-            yield name
+            yield name, spec, conversion
             yield from _fields(spec)
 
 
@@ -62,8 +63,9 @@ class SolverAdapter:
 
     The template is a single shell-like string or a pre-split argument
     list.  Its only placeholders are ``{instance}`` (the instance path) and
-    ``{budget}`` (seconds); ``{{`` and ``}}`` are literal braces.  Any other
-    field, or an unbalanced brace, is rejected when the adapter is built.
+    ``{budget}`` (seconds), each without a format spec or conversion;
+    ``{{`` and ``}}`` are literal braces.  Any other field, a spec or
+    conversion, or an unbalanced brace is rejected when the adapter is built.
     """
 
     solver_id: str
@@ -74,12 +76,18 @@ class SolverAdapter:
         if self.parse_mode not in (EVENT_STREAM, FINAL_ONLY):
             raise ValueError(f"unknown parse mode {self.parse_mode!r}")
         try:
-            fields = [name for part in self._parts() for name in _fields(part)]
+            fields = [field for part in self._parts() for field in _fields(part)]
         except ValueError as exc:  # an unbalanced quote or brace
             raise ValueError(f"solver {self.solver_id!r}: {exc} in {self.command!r}") from None
-        for name in fields:
+        for name, _, _ in fields:
             if name not in ("instance", "budget"):
                 raise ValueError(f"solver {self.solver_id!r}: unknown placeholder {{{name}}} in {self.command!r}")
+        for name, spec, conversion in fields:
+            if spec or conversion:
+                raise ValueError(
+                    f"solver {self.solver_id!r}: placeholder {{{name}}} takes no format spec "
+                    f"or conversion in {self.command!r}"
+                )
 
     def _parts(self) -> list[str]:
         return shlex.split(self.command) if isinstance(self.command, str) else list(self.command)
@@ -328,8 +336,8 @@ def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over
     ``path``: a crash leaves either the old file or the whole new one.
 
-    Callers hold the archive lock, so the process id keeps the temporary
-    name apart from every other writer.
+    Callers hold the archive lock, or create the archive's ``grid.json``, so
+    the process id keeps the temporary name apart from every other writer.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -358,7 +366,7 @@ class RunArchive:
         else:
             if grid is None:
                 raise ValueError(f"no grid.json in {self.root} and no grid given")
-            grid_file.write_text(json.dumps(grid.params()) + "\n")
+            _write_atomic(grid_file, json.dumps(grid.params()) + "\n")
             self.grid = grid
         self._lock = threading.Lock()
         self._manifest: dict[str, tuple[str, str]] = {}
@@ -420,7 +428,7 @@ class RunArchive:
         base = self._pair_base(instance_id, solver_id)
         with self._lock:
             base.parent.mkdir(parents=True, exist_ok=True)
-            base.with_suffix(".error").write_text(message + "\n")
+            _write_atomic(base.with_suffix(".error"), message + "\n")
 
     def failures(self) -> list[tuple[str, str, str]]:
         out = []

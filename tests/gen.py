@@ -189,3 +189,26 @@ def mutate_document(rng: random.Random, text: str, edits: int = 2) -> str:
             continue
         lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
+
+
+def vary_layout(rng: random.Random, text: str) -> str:
+    """``text`` with the same tokens laid out differently: lines ending in
+    ``\\n``, ``\\r\\n`` or ``\\r``, blanks between tokens drawn from
+    ``' '``, ``'  '`` and ``'\\t'``, some lines indented or with trailing
+    blanks, some ';' glued to the token before, and comment lines, some
+    holding ';', inserted between lines."""
+    end = rng.choice(("\n", "\r\n", "\r"))
+    lines = []
+    for line in text.splitlines():
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("*", "* note ;", "  * a ; b ;", "*;x1 >= 1 ;")))
+        tokens = line.split()
+        if tokens and tokens[0].startswith("*"):
+            lines.append(line)
+            continue
+        out = ""
+        for k, tok in enumerate(tokens):
+            glue = tok == ";" and k > 0 and rng.random() < 0.3
+            out += tok if glue or not out else rng.choice((" ", "  ", "\t")) + tok
+        lines.append(rng.choice(("", "", " ", "\t")) + out + rng.choice(("", "", " \t")))
+    return end.join(lines) + end

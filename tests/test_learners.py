@@ -572,7 +572,7 @@ _DROPPED_MODEL_KEYS = {
     "rf": {"n_features": 3, "n_classes": 3, "n_estimators": 5, "max_features": "sqrt", "seed": 0,
            "class_weight": [1.0, 1.0, 1.0]},
     "gb": {"n_features": 3, "n_classes": 3, "n_estimators": 4, "max_depth": 3, "max_features": "sqrt",
-           "seed": 0, "class_weight": [1.0, 1.0, 1.0]},
+           "seed": 0, "class_weight": [1.0, 1.0, 1.0], "train_losses": [1.1, 0.9, 0.8, 0.7, 0.6]},
     "knn": {"standardize": True},
 }
 

@@ -1,4 +1,6 @@
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,8 @@ from pbselect.opb import (
     serialize,
 )
 
-from gen import mutate_document, random_instance
-from oracles import assignments, constraint_satisfied, objective_value, satisfied
+from gen import mutate_document, random_instance, vary_layout
+from oracles import assignments, constraint_satisfied, objective_value, oracle_parse_opb, satisfied
 
 HEADER = "* #variable= 4 #constraint= 1\n"
 
@@ -290,3 +292,98 @@ def test_mutated_documents_parse_or_raise_opb_parse_error():
         accepted += 1
         assert parse_opb(serialize(inst)) == inst
     assert 200 < accepted < 1800
+
+
+# --- the array reader against the line-by-line reader ---------------------------
+
+
+def _outcome(parse, doc):
+    """The instance, or the (reason, line, column) of the parse error."""
+    try:
+        return parse(doc)
+    except OpbParseError as exc:
+        return exc.reason, exc.line, exc.column
+
+
+def _assert_same(doc):
+    new, old = _outcome(parse_opb, doc), _outcome(oracle_parse_opb, doc)
+    if isinstance(old, Instance):
+        assert isinstance(new, Instance) and new == old, doc
+        assert new.coefficients.dtype == old.coefficients.dtype, doc
+    else:
+        assert new == old, doc
+    return isinstance(new, Instance)
+
+
+def _differential_documents(rng, count):
+    for _ in range(count):
+        doc = serialize(random_instance(rng, max_vars=rng.choice([3, 30]), max_degree=3))
+        if rng.random() < 0.2:
+            doc = doc.replace(">=", "<=")
+        edits = rng.choice([0, 1, 1, 2, 3])
+        if edits:
+            doc = mutate_document(rng, doc, edits)
+        doc = vary_layout(rng, doc)
+        yield doc.encode() if rng.random() < 0.5 else doc
+
+
+def test_array_reader_matches_line_reader_on_mutated_documents():
+    rng = random.Random(12)
+    accepted = sum(map(_assert_same, _differential_documents(rng, 2000)))
+    assert 400 < accepted < 1600
+
+
+def test_array_reader_matches_line_reader_on_a_served_size_document(tmp_path):
+    # the benchmark's generator of served instances, at 100,000 terms
+    inputs = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "inputs.py"))
+    path = tmp_path / "served.opb"
+    serve_instance = inputs["serve_instance"]
+    counts = serve_instance(path, random.Random(1), random.Random(2), 100_000, nonlinear=True)
+    assert _assert_same(path.read_bytes())
+    assert len(parse_opb(path.read_bytes()).coefficients) == counts.n_terms
+
+
+# Documents that the ASCII grammar reads otherwise than the line-by-line
+# reader, which splits on Unicode whitespace and line ends and reads Unicode
+# digits: each with what it gives now.
+_ASCII_DECISIONS = [
+    ("min: +\u0661 x1 ;\n", ("expected coefficient, got '+\u0661'", 1, 6)),
+    ("min: +1 x\u0661 ;\n", ("expected literal, got 'x\u0661'", 1, 9)),
+    ("+1 x1 >= \u0661 ;\n", ("malformed right-hand side '\u0661'", 1, 10)),
+    ("min: +1\xa0x1 ;\n", ("expected coefficient, got '+1\\xa0x1'", 1, 6)),
+    ("min: +1\x1cx1 ;\n", ("expected coefficient, got '+1\\x1cx1'", 1, 6)),
+    ("\xa0* c\nmin: +1 x1 ;\n", ("constraint has no relation", 1, 1)),
+    ("min: +1 x1 ;\x0c* note\n", ("statement missing ';' terminator", 1, 16)),
+    ("min: +1 x1 ;\u2028* note\n", ("statement missing ';' terminator", 1, 16)),
+    ("min: +1 x1 ;\u3000", ("statement missing ';' terminator", 1, 12)),
+    ("+1 x1\x0b+1 y1 >= 1 ;\n", ("expected literal, got 'y1'", 1, 10)),
+    (b"+1 x1\x0c\xff >= 1 ;\n", ("invalid UTF-8 byte 0xff", 1, 7)),
+]
+
+
+@pytest.mark.parametrize("doc,now", _ASCII_DECISIONS, ids=[repr(d) for d, _ in _ASCII_DECISIONS])
+def test_documents_the_ascii_grammar_reads_otherwise(doc, now):
+    assert _outcome(parse_opb, doc) == now
+    assert _outcome(oracle_parse_opb, doc) != now
+
+
+def test_header_counts_are_ascii_digits():
+    # the line-by-line reader took the Unicode digit for a count of 3
+    doc = "* #variable= \u0663 #constraint= 0\nmin: +1 x1 ;\n"
+    assert parse_opb(doc).num_variables == 1
+    assert oracle_parse_opb(doc).num_variables == 3
+
+
+def test_layouts_of_one_document_parse_alike():
+    plain = parse_opb("* #variable= 3 #constraint= 1\nmin: +1 x1 -2 ~x2 x3 ;\n+1 x1 +1 x3 >= 1 ;\n")
+    for doc in (
+        "* caf\u00e9\xa0 ; \u0661\n* #variable= 3 #constraint= 1\n"
+        "min: +1 x1 -2 ~x2 x3 ;\n+1 x1 +1 x3 >= 1 ;\n",
+        "* #variable= 3 #constraint= 1\r\nmin: +1 x1 -2 ~x2 x3 ;\r\n+1 x1 +1 x3 >= 1 ;\r\n",
+        "* #variable= 3 #constraint= 1\rmin: +1 x1 -2 ~x2 x3 ;\r+1 x1 +1 x3 >= 1 ;",
+        "\t* #variable=\t3\t#constraint=\t1\nmin:\t+1\tx1 -2 ~x2\tx3\t;\t\n\t+1 x1 +1 x3 >= 1 ;\n",
+        "* #variable= 3 #constraint= 1\nmin: +1\x0bx1 -2 ~x2\x0cx3 ;\n+1 x1\x0b\x0c+1 x3 >= 1 ;\n",
+        "* #variable= 3 #constraint= 1\nmin: +1 x1 -2 ~x2 x3;\n+1 x1\n+1 x3 >= 1;",
+    ):
+        assert parse_opb(doc) == plain
+        assert parse_opb(doc.encode()) == plain

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import time
@@ -304,6 +305,25 @@ def test_successful_write_clears_stale_failure(tmp_path):
     assert archive.has("i", "s")
 
 
+def test_interrupted_archive_writes_leave_no_partial_file(tmp_path, monkeypatch):
+    grid = make_grid(2, 10.0, 1.0)
+    RunArchive(tmp_path / "a", grid).record_failure("i", "s", "first failure")
+
+    def crash(src, dst):
+        raise OSError("crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="crash"):
+        RunArchive(tmp_path / "b", grid)
+    with pytest.raises(OSError, match="crash"):
+        RunArchive(tmp_path / "a").record_failure("i", "s", "second failure")
+    monkeypatch.undo()
+    assert not (tmp_path / "b" / "grid.json").exists()
+    assert RunArchive(tmp_path / "b", grid).grid.params() == grid.params()
+    assert RunArchive(tmp_path / "a").failures() == [("i", "s", "first failure")]
+    assert sorted(p.name for p in (tmp_path / "a").rglob("*")) == ["grid.json", "i", "s.error"]
+
+
 def test_read_trajectory_checks_whole_grid(tmp_path):
     grid = make_grid(2, 10.0, 1.0)
     archive = RunArchive(tmp_path / "a", grid)
@@ -354,6 +374,13 @@ def test_portfolio_config_file(tmp_path):
 ])
 def test_adapter_rejects_unknown_placeholders_and_unbalanced_braces(command, fault):
     with pytest.raises(ValueError, match=r"solver 'a': .*" + re.escape(fault)):
+        SolverAdapter("a", command)
+
+
+@pytest.mark.parametrize("command", ["echo {budget:.0f}", "solver {instance!r}", ("solver", "{budget!s:>8}")])
+def test_adapter_rejects_format_specs_and_conversions(command):
+    # a spec that a string rejects would fail only at the first launch
+    with pytest.raises(ValueError, match=r"solver 'a': placeholder \{\w+\} takes no format spec or conversion"):
         SolverAdapter("a", command)
 
 
