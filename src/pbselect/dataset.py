@@ -33,7 +33,7 @@ from . import features
 from .features import FeatureVector, encode_timestep, feature_names
 from .grid import TimestepGrid, make_grid
 from .opb import MissingObjectiveError, OpbParseError, parse_opb_file
-from .runner import RunArchive
+from .runner import RunArchive, last_events
 
 logger = logging.getLogger(__name__)
 
@@ -183,8 +183,13 @@ def build_dataset(
         ids.append(iid)
         benches.append(bench)
         table.append(values)
+        # the (time, value) event each solver holds at each grid point
+        held = [
+            [t.events[i] if i >= 0 else (None, None) for i in last_events(t.events, grid)]
+            for t in trajs
+        ]
         labels.append(
-            winner_labels([t.sampled for t in trajs], [t.achievement_times(grid) for t in trajs])
+            winner_labels([[v for _, v in h] for h in held], [[at for at, _ in h] for h in held])
         )
     for iid, reason in skipped:
         logger.warning("skipped %s: %s", iid, reason)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dataset import TEST, LabeledDataset, rank_sampled
 from .grid import TimestepGrid
-from .runner import RunArchive, Trajectory
+from .runner import RunArchive, Trajectory, sample_events
 
 
 class DegeneratePortfolioError(ValueError):
@@ -109,8 +109,7 @@ def context_from_trajectories(
     keeping the mapping's instance order.
 
     Each instance is normalized by the extremes of every event of every
-    portfolio solver.  Raises ValueError for an instance whose sampled
-    values have no events to normalize them by.
+    portfolio solver.
     """
     ids = list(trajectories)
     shape = (len(ids), grid.count, len(solver_order))
@@ -118,12 +117,10 @@ def context_from_trajectories(
     ranks = np.full(shape, -1, dtype=np.intp)
     for i, iid in enumerate(ids):
         trajs = [trajectories[iid][sid] for sid in solver_order]
-        ranks[i], distinct = rank_sampled([t.sampled for t in trajs])
+        ranks[i], distinct = rank_sampled([sample_events(t.events, grid) for t in trajs])
         if not distinct:
             continue
         events = [v for t in trajs for _, v in t.events]
-        if not events:
-            raise ValueError(f"instance {iid} has sampled values but no events")
         lo, hi = min(events), max(events)
         table = [0.0 if lo == hi else (v - lo) / (hi - lo) for v in distinct] + [2.0]
         values[i] = np.array(table)[ranks[i]]

@@ -54,9 +54,6 @@ class GradientBoostingModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.trees.apply(X, self._scores))
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
 
 def _weighted_cross_entropy(probs: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     p = np.clip(probs[np.arange(len(y)), y], 1e-15, None)

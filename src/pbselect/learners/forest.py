@@ -28,9 +28,6 @@ class ForestModel:
         n_trees = len(self.trees.roots)
         return self.trees.apply(X, lambda dist: dist.sum(axis=0) / n_trees)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
 
 def fit_random_forest(
     X: np.ndarray,

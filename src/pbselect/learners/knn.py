@@ -39,10 +39,6 @@ class KnnModel:
             parts.append((nearest @ one_hot) / self.k)
         return np.concatenate(parts)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        # argmax takes the lowest class index on a vote tie
-        return np.argmax(self.predict_proba(X), axis=1)
-
 
 def fit_knn(
     X: np.ndarray, y: np.ndarray, k: int, n_classes: int, standardize: bool = True

@@ -5,8 +5,9 @@ array of the model, named after its dataclass field (``trees.`` prefixes
 the :class:`TreeEnsemble` fields) and read with ``allow_pickle=False``,
 and ``header.json`` with the rest: format name and version, family,
 feature schema, timestep encoding, label vocabulary, hyperparameters (with
-the timestep grid), seed, MDI importances and the model's other fields.
-Fields computed from others (``init=False``) are not stored.  Another
+the timestep grid), seed and the model's other fields.  Fields computed
+from others (``init=False``) and the MDI importances, which come from the
+trees, are not stored; the loader reads only the keys it knows.  Another
 format name or version is rejected; formats 1 and 2 were one JSON
 document, read only to name its version, so their models must be trained
 again.  Members carry a fixed timestamp, so two fits with the same seed
@@ -34,7 +35,7 @@ from .knn import KnnModel
 FORMAT_NAME = "pbselect-model"
 FORMAT_VERSION = 3
 HEADER = "header.json"
-_HEADER_FIELDS = ("family", "schema", "encoding", "vocabulary", "params", "seed", "mdi")
+_HEADER_FIELDS = ("family", "schema", "encoding", "vocabulary", "params", "seed")
 _MEMBER_TIME = (1980, 1, 1, 0, 0, 0)  # np.savez would stamp the current time
 
 RF = "rf"
@@ -93,7 +94,11 @@ class TrainedModel:
     params: dict
     seed: int
     model: ForestModel | GradientBoostingModel | KnnModel
-    mdi: list[float] | None = None
+
+    @property
+    def mdi(self) -> list[float] | None:
+        """MDI importance of each feature, None for a KNN model."""
+        return None if self.family == KNN else mdi_importance(self.model).tolist()
 
     @property
     def n_features(self) -> int:
@@ -116,7 +121,8 @@ class TrainedModel:
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         self._check_width(X.shape[1])
-        return self.model.predict(X)
+        # argmax takes the lowest class index on a tie
+        return np.argmax(self.model.predict_proba(X), axis=1)
 
     def save(self, path: str | Path) -> None:
         members, rest = {}, {}

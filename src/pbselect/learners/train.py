@@ -17,9 +17,10 @@ from ..dataset import NO_SOLUTION, TRAIN, LabeledDataset
 from .boosting import fit_gradient_boosting
 from .forest import fit_random_forest
 from .knn import fit_knn
-from .model_io import GB, KNN, RF, TrainedModel, mdi_importance
+from .model_io import GB, KNN, RF, TrainedModel
 from .weights import INVERSE_FREQUENCY, class_weights
 
+# the tree families' keys are keyword arguments of their fit functions
 _RF_DEFAULTS = {"n_estimators": 100, "max_features": "sqrt"}
 
 DEFAULT_HYPERPARAMS: dict[tuple[str, str], dict] = {
@@ -66,27 +67,10 @@ def train_model(
     weights = class_weights(y, class_weight_mode, len(vocab))
     params = hyperparams_for(family, ds.schema)
 
-    mdi = None
     if family == RF:
-        model = fit_random_forest(
-            X, y, len(vocab),
-            n_estimators=params["n_estimators"],
-            max_features=params["max_features"],
-            seed=seed,
-            class_weight=weights,
-        )
-        mdi = mdi_importance(model).tolist()
+        model = fit_random_forest(X, y, len(vocab), **params, seed=seed, class_weight=weights)
     elif family == GB:
-        model = fit_gradient_boosting(
-            X, y, len(vocab),
-            n_estimators=params["n_estimators"],
-            learning_rate=params["learning_rate"],
-            max_depth=params["max_depth"],
-            max_features=params["max_features"],
-            seed=seed,
-            class_weight=weights,
-        )
-        mdi = mdi_importance(model).tolist()
+        model = fit_gradient_boosting(X, y, len(vocab), **params, seed=seed, class_weight=weights)
     elif family == KNN:
         model = fit_knn(X, y, params["n_neighbors"], len(vocab))
     else:
@@ -105,5 +89,4 @@ def train_model(
         },
         seed=seed,
         model=model,
-        mdi=mdi,
     )

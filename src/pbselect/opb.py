@@ -30,8 +30,8 @@ to literals and from statements to terms, and a relation and right-hand
 side per constraint.  The objective, when there is one, is statement 0.
 Every feature, :func:`linearize` and :func:`serialize` is array work on
 this layout.  :class:`Term` and :class:`Constraint` are views, built on
-first use of ``Instance.objective`` or ``Instance.constraints``, and the
-input of :meth:`Instance.from_terms`.
+first use of ``Instance.objective`` or ``Instance.constraints``.  An
+instance comes from :func:`parse_opb` or :func:`linearize`.
 
 Coefficients are an int64 array, or an object array of Python ints when
 one of them does not fit int64; right-hand sides are Python ints.  So
@@ -87,7 +87,7 @@ class Term:
     ``literals`` is a tuple of ``(variable index, negated)`` pairs sorted by
     strictly increasing variable index; a negated literal evaluates to
     ``1 - x``.  The coefficient is never zero (zero-coefficient terms are
-    dropped during parsing).  :meth:`Instance.from_terms` checks all this.
+    dropped during parsing).
     """
 
     coefficient: int
@@ -151,48 +151,6 @@ class Instance:
     num_variables: int
     declared_constraints: int
     source_name: str = ""
-
-    @classmethod
-    def from_terms(
-        cls,
-        objective: tuple[Term, ...] | None,
-        constraints: tuple[Constraint, ...],
-        num_variables: int,
-        declared_constraints: int,
-        source_name: str = "",
-    ) -> Instance:
-        """The instance holding these terms and constraints; a ValueError
-        when a term or a relation breaks the rules of :class:`Term` and
-        :class:`Constraint`, or a variable exceeds ``num_variables``."""
-        statements = ([] if objective is None else [objective]) + [c.terms for c in constraints]
-        terms = [t for terms in statements for t in terms]
-        literals = [lit for t in terms for lit in t.literals]
-        inst = cls(
-            coefficients=_int_array([t.coefficient for t in terms]),
-            term_starts=_offsets([len(t.literals) for t in terms]),
-            variables=np.array([var for var, _ in literals], dtype=np.int64),
-            negated=np.array([neg for _, neg in literals], dtype=bool),
-            statement_starts=_offsets([len(terms) for terms in statements]),
-            relations=tuple(c.relation for c in constraints),
-            rhs=tuple(c.rhs for c in constraints),
-            has_objective=objective is not None,
-            num_variables=num_variables,
-            declared_constraints=declared_constraints,
-            source_name=source_name,
-        )
-        variables, starts = inst.variables, inst.term_starts
-        if (
-            not (inst.coefficients != 0).all()
-            or (starts[1:] <= starts[:-1]).any()
-            or variables.min(initial=1) < 1
-            or _within_terms(variables[1:] <= variables[:-1], starts)
-        ):
-            raise ValueError("a term needs a nonzero coefficient and increasing indices >= 1")
-        if not set(inst.relations).issubset((GEQ, EQ)):
-            raise ValueError(f"unsupported relation in {inst.relations}")
-        if variables.max(initial=0) > num_variables:
-            raise ValueError(f"variable x{variables.max()} exceeds declared count {num_variables}")
-        return inst
 
     def __eq__(self, other):
         if not isinstance(other, Instance):

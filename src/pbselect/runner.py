@@ -12,7 +12,9 @@ achieved at or before each grid point).
 A run archive is a directory with one subdirectory per instance holding a
 ``<solver>.traj`` file (metadata line, event lines, sampled line) and the
 raw timestamped stdout capture in ``<solver>.log``; parsing the raw log
-reproduces the recorded events exactly.
+reproduces the recorded events exactly.  The sampled line is written from
+the events for other tools to read; reading a file checks only its width,
+and every sample comes from the events.
 """
 
 from __future__ import annotations
@@ -133,23 +135,17 @@ class PortfolioConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One solver's incumbent history on one instance, plus grid samples.
+    """One solver's incumbent history on one instance.
 
     ``events`` are (seconds, objective) pairs, nondecreasing in time and
-    strictly decreasing in objective.  ``sampled[j]`` is the best objective
-    achieved at or before grid point j, or None while no solution exists.
+    strictly decreasing in objective; grid samples come from them through
+    :func:`sample_events`.  ``status`` is :func:`run_adapter`'s.
     """
 
     solver_id: str
     instance_id: str
-    horizon: float
     events: tuple[tuple[float, int], ...]
-    sampled: tuple[int | None, ...]
     status: str = "ok"
-
-    def achievement_times(self, grid: TimestepGrid) -> list[float | None]:
-        """Time of the incumbent held at each grid point, or None."""
-        return [self.events[i][0] if i >= 0 else None for i in last_events(self.events, grid)]
 
 
 def parse_events(
@@ -197,6 +193,13 @@ def sample_events(
     return tuple(events[i][1] if i >= 0 else None for i in last_events(events, grid))
 
 
+def achievement_times(
+    events: tuple[tuple[float, int], ...], grid: TimestepGrid
+) -> list[float | None]:
+    """Time of the incumbent held at each grid point, or None."""
+    return [events[i][0] if i >= 0 else None for i in last_events(events, grid)]
+
+
 def _signal_group(pgid: int, sig: int) -> None:
     try:
         os.killpg(pgid, sig)
@@ -213,8 +216,8 @@ def run_adapter(
     it starts.  The group gets ``budget`` seconds from spawn; whatever of it
     still runs or holds standard output then gets SIGTERM and, once standard
     output is closed or one second has passed, SIGKILL.  Returns the
-    captured lines and a status: "ok" for a clean exit or a budget kill,
-    "crashed" for a nonzero exit.
+    captured lines and a status: "killed" when the budget kill fired,
+    otherwise "ok" for exit code 0 and "crashed" for any other.
     """
     argv = adapter.argv(str(instance_path), budget)
     try:
@@ -254,8 +257,7 @@ def run_adapter(
     proc.wait()
     reader.join()
     proc.stdout.close()
-    status = "ok" if killed or proc.returncode == 0 else "crashed"
-    return lines, status
+    return lines, "killed" if killed else "ok" if proc.returncode == 0 else "crashed"
 
 
 def run_solver(
@@ -267,9 +269,7 @@ def run_solver(
     traj = Trajectory(
         solver_id=adapter.solver_id,
         instance_id=instance_id or Path(instance_path).stem,
-        horizon=grid.horizon,
         events=events,
-        sampled=sample_events(events, grid),
         status=status,
     )
     return traj, lines
@@ -277,8 +277,6 @@ def run_solver(
 
 # ---------------------------------------------------------------------------
 # archive serialization
-
-_NA = "NA"
 
 
 def trajectory_to_text(traj: Trajectory, grid: TimestepGrid) -> str:
@@ -292,7 +290,8 @@ def trajectory_to_text(traj: Trajectory, grid: TimestepGrid) -> str:
     }
     lines = [json.dumps(meta)]
     lines.extend(f"{t!r} {v}" for t, v in traj.events)
-    lines.append("sampled " + " ".join(_NA if v is None else str(v) for v in traj.sampled))
+    sampled = sample_events(traj.events, grid)
+    lines.append("sampled " + " ".join("NA" if v is None else str(v) for v in sampled))
     return "\n".join(lines) + "\n"
 
 
@@ -305,19 +304,13 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     for line in lines[1:-1]:
         t_str, v_str = line.split()
         events.append((float(t_str), int(v_str)))
-    sampled = tuple(
-        None if tok == _NA else int(tok) for tok in lines[-1].split()[1:]
-    )
-    if len(sampled) != meta["count"]:
-        raise ValueError(
-            f"sampled record holds {len(sampled)} values, expected {meta['count']}"
-        )
+    width = len(lines[-1].split()) - 1
+    if width != meta["count"]:
+        raise ValueError(f"sampled record holds {width} values, expected {meta['count']}")
     traj = Trajectory(
         solver_id=meta["solver"],
         instance_id=meta["instance"],
-        horizon=float(meta["horizon"]),
         events=tuple(events),
-        sampled=sampled,
         status=meta.get("status", "ok"),
     )
     return traj, meta
@@ -336,7 +329,7 @@ def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over
     ``path``: a crash leaves either the old file or the whole new one.
 
-    Callers hold the archive lock, or create the archive's ``grid.json``, so
+    Callers hold the archive lock or run in the archive's constructor, so
     the process id keeps the temporary name apart from every other writer.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -351,7 +344,8 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 class RunArchive:
-    """On-disk store of trajectories, resumable and safe for threaded writers."""
+    """On-disk store of trajectories, resumable and safe for threaded writers.
+    Opening one drops a manifest's torn last line and rejects a malformed one."""
 
     def __init__(self, root: str | Path, grid: TimestepGrid | None = None):
         self.root = Path(root)
@@ -372,9 +366,16 @@ class RunArchive:
         self._manifest: dict[str, tuple[str, str]] = {}
         manifest = self.root / "instances.tsv"
         if manifest.exists():
-            for line in manifest.read_text().splitlines():
-                iid, bench, path = line.split("\t")
-                self._manifest[iid] = (bench, path)
+            *lines, torn = manifest.read_text().split("\n")
+            for number, line in enumerate(lines, 1):
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ValueError(f"{manifest}, line {number}: {len(fields)} fields, expected 3")
+                self._manifest[fields[0]] = (fields[1], fields[2])
+            if torn:
+                # an append cut short by a crash: its instance registers again on resume
+                logger.warning("dropping the unterminated last line of %s: %r", manifest, torn)
+                _write_atomic(manifest, "".join(line + "\n" for line in lines))
 
     def _pair_base(self, instance_id: str, solver_id: str) -> Path:
         return self.root / instance_id / _UNSAFE_RE.sub("_", solver_id)

@@ -4,8 +4,8 @@ import random
 
 from pbselect.eval import context_from_trajectories
 from pbselect.grid import make_grid
-from pbselect.opb import Constraint, Instance, Term
-from pbselect.runner import Trajectory, sample_events
+from pbselect.opb import Constraint, Instance, Term, parse_opb
+from pbselect.runner import Trajectory
 
 
 def random_term(rng: random.Random, n_vars: int, max_degree: int = 1) -> Term:
@@ -14,6 +14,24 @@ def random_term(rng: random.Random, n_vars: int, max_degree: int = 1) -> Term:
     literals = tuple(sorted((v, rng.random() < 0.3) for v in variables))
     coeff = rng.choice([c for c in range(-8, 9) if c != 0])
     return Term(coeff, literals)
+
+
+def opb_text(objective, constraints, num_variables: int, declared_constraints: int) -> str:
+    """OPB text of these :class:`Term` and :class:`Constraint` values; a
+    constraint without terms gets the term ``+0 x1``, as ``serialize``
+    writes it."""
+
+    def body(terms):
+        return " ".join(
+            f"{t.coefficient:+d} " + " ".join(f"~x{v}" if neg else f"x{v}" for v, neg in t.literals)
+            for t in terms
+        )
+
+    lines = [f"* #variable= {num_variables} #constraint= {declared_constraints}"]
+    if objective is not None:
+        lines.append(f"min: {body(objective)} ;")
+    lines += [f"{body(c.terms) or '+0 x1'} {c.relation} {c.rhs} ;" for c in constraints]
+    return "\n".join(lines) + "\n"
 
 
 def random_instance(
@@ -36,12 +54,7 @@ def random_instance(
         )
         relation = rng.choice([">=", "="])
         constraints.append(Constraint(terms, relation, rng.randint(-10, 10)))
-    return Instance.from_terms(
-        objective=objective,
-        constraints=tuple(constraints),
-        num_variables=n_vars,
-        declared_constraints=len(constraints),
-    )
+    return parse_opb(opb_text(objective, constraints, n_vars, len(constraints)))
 
 
 def random_events(
@@ -76,13 +89,7 @@ def random_mini_archive(rng: random.Random):
         for sid in solver_order:
             ev = random_events(rng, grid.horizon)
             events[iid][sid] = ev
-            trajectories[iid][sid] = Trajectory(
-                solver_id=sid,
-                instance_id=iid,
-                horizon=grid.horizon,
-                events=ev,
-                sampled=sample_events(ev, grid),
-            )
+            trajectories[iid][sid] = Trajectory(solver_id=sid, instance_id=iid, events=ev)
     ctx = context_from_trajectories(grid, solver_order, trajectories)
     return grid, solver_order, events, trajectories, ctx
 
@@ -142,14 +149,7 @@ def synthetic_corpus(root, rng: random.Random, n_instances: int, grid, noise=0.0
                 if value is None or v < value:
                     events.append((grid.points[regime_start[r]], v))
                     value = v
-            traj = Trajectory(
-                solver_id=sid,
-                instance_id=iid,
-                horizon=grid.horizon,
-                events=tuple(events),
-                sampled=sample_events(tuple(events), grid),
-            )
-            archive.write_trajectory(traj)
+            archive.write_trajectory(Trajectory(solver_id=sid, instance_id=iid, events=tuple(events)))
     return archive
 
 

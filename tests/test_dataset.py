@@ -16,7 +16,7 @@ from pbselect.dataset import (
 )
 from pbselect.features import feature_names
 from pbselect.grid import make_grid
-from pbselect.runner import RunArchive, Trajectory, instance_id_for, sample_events
+from pbselect.runner import RunArchive, Trajectory, instance_id_for
 
 from gen import random_events
 from oracles import oracle_label
@@ -84,14 +84,7 @@ def _synthetic_archive(tmp_path, grid, events_by_pair, instance_paths):
     for (iid, bench, path) in instance_paths:
         archive.register_instance(iid, bench, str(path))
     for (iid, sid), events in events_by_pair.items():
-        traj = Trajectory(
-            solver_id=sid,
-            instance_id=iid,
-            horizon=grid.horizon,
-            events=tuple(events),
-            sampled=sample_events(tuple(events), grid),
-        )
-        archive.write_trajectory(traj)
+        archive.write_trajectory(Trajectory(solver_id=sid, instance_id=iid, events=tuple(events)))
     return archive
 
 

@@ -10,6 +10,7 @@ import pytest
 from pbselect.dataset import NO_SOLUTION, TEST, TRAIN, build_dataset
 from pbselect.eval import (
     DegeneratePortfolioError,
+    EvalContext,
     context_from_trajectories,
     evaluate_selector,
     m_hat,
@@ -31,10 +32,8 @@ from oracles import (
 )
 
 
-def _traj(events, grid, sampled=None):
-    events = tuple(events)
-    sampled = sample_events(events, grid) if sampled is None else tuple(sampled)
-    return Trajectory("s", "i", grid.horizon, events, sampled)
+def _traj(events):
+    return Trajectory("s", "i", tuple(events))
 
 
 def _bounded(lo, hi):
@@ -45,21 +44,26 @@ def _bounded(lo, hi):
 
 
 def _normalized(cases, grid=make_grid(2, 10.0, 1.0)):
-    """Normalized value of each (o, lo, hi) case: o is sampled at every
-    timestep of an instance whose events span [lo, hi]."""
+    """Normalized value of each (o, lo, hi) case: solver a holds o at every
+    timestep of an instance where solver b's events span [lo, hi]."""
     trajs = {
-        f"i{n}": {"a": _traj(_bounded(lo, hi), grid, [o] * grid.count)}
+        f"i{n}": {"a": _traj(() if o is None else ((0.5, o),)), "b": _traj(_bounded(lo, hi))}
         for n, (o, lo, hi) in enumerate(cases)
     }
-    return context_from_trajectories(grid, ["a"], trajs).values[:, 0, 0].tolist()
+    return context_from_trajectories(grid, ["a", "b"], trajs).values[:, 0, 0].tolist()
 
 
 def _metric(values, lo=10, hi=20):
     """Cumulative metric of solver a's ``values``, one per timestep, on an
-    instance whose events span [lo, hi] and where solver b is always feasible."""
-    grid = make_grid(len(values), 100.0, 1.0)
-    trajs = {"a": _traj((), grid, values), "b": _traj(_bounded(lo, hi), grid, [hi] * grid.count)}
-    ctx = context_from_trajectories(grid, ["a", "b"], {"i": trajs})
+    instance normalized to [lo, hi] where solver b is always feasible.  No
+    event list samples to a value followed by None, so the context is
+    built from its arrays."""
+    a = [2.0 if v is None else (v - lo) / (hi - lo) for v in values]
+    ctx = EvalContext(
+        make_grid(len(values), 100.0, 1.0), ["a", "b"], ["i"],
+        np.array([[[x, 1.0] for x in a]]),
+        np.array([[[-1 if v is None else 0, 1] for v in values]]),
+    )
     return ctx.metric(ctx.values[:, :, 0])
 
 
@@ -72,8 +76,6 @@ def test_normalize_branches():
     assert _normalized([(15, 10, 20), (10, 10, 20), (20, 10, 20)]) == [0.5, 0.0, 1.0]
     assert _normalized([(7, 7, 7)]) == [0.0]
     assert _normalized([(None, 10, 20)]) == [2.0]
-    with pytest.raises(ValueError):
-        _normalized([(5, None, None)])
 
 
 def test_normalize_codomain_fuzz():
@@ -94,7 +96,7 @@ def test_cumulative_metric_examples():
     assert _metric([None, None, None]) == 6.0
     assert _metric([15, None]) == 2.5
     grid = make_grid(2, 100.0, 1.0)
-    ctx = context_from_trajectories(grid, ["a"], {"i": {"a": _traj(((0.5, 10),), grid)}})
+    ctx = context_from_trajectories(grid, ["a"], {"i": {"a": _traj(((0.5, 10),))}})
     with pytest.raises(IndexError):
         ctx.metric(np.zeros((1, 1)))
 
@@ -109,11 +111,11 @@ def test_m_hat_examples():
 
 def test_compute_bounds_spans_all_events():
     grid = make_grid(3, 100.0, 1.0)
-    trajs = {"a": _traj([(0.5, 9), (50.0, 2)], grid), "b": _traj([(2.0, 30)], grid)}
+    trajs = {"a": _traj([(0.5, 9), (50.0, 2)]), "b": _traj([(2.0, 30)])}
     ctx = context_from_trajectories(grid, ["a", "b"], {"i": trajs})
     # bounds (2, 30): a holds 9, 9, 2 and b nothing, 30, 30
     assert ctx.values[0].T.tolist() == [[7 / 28, 7 / 28, 0.0], [2.0, 1.0, 1.0]]
-    empty = context_from_trajectories(grid, ["a"], {"i": {"a": _traj([], grid)}})
+    empty = context_from_trajectories(grid, ["a"], {"i": {"a": _traj([])}})
     assert empty.values.tolist() == [[[2.0]] * 3]
     assert not empty.evaluated.any()
 
@@ -222,7 +224,7 @@ def test_vbs_and_sbs_anchor_exactly():
         # VBS policy: pick an argmin solver per pair
         labels = np.full(ctx.evaluated.shape, len(order))
         for iid, j in _pairs(ctx):
-            sampled = {sid: trajs[iid][sid].sampled[j] for sid in order}
+            sampled = {sid: sample_events(trajs[iid][sid].events, grid)[j] for sid in order}
             best_sid = min((sid for sid in order if sampled[sid] is not None), key=sampled.get)
             labels[ctx.instance_ids.index(iid), j] = order.index(best_sid)
         assert m_hat(ctx.metric(ctx.choose(labels)[0]), m_s[sbs_id], m_vbs) == 0.0
@@ -248,7 +250,7 @@ def test_overhead_never_improves_policy_value():
 def test_overhead_below_first_grid_point_is_undefined():
     grid = make_grid(3, 100.0, 1.0)
     events = ((0.5, 4),)
-    traj = Trajectory("a", "i", grid.horizon, events, sample_events(events, grid))
+    traj = Trajectory("a", "i", events)
     ctx = context_from_trajectories(grid, ["a"], {"i": {"a": traj}})
     labels = np.zeros((1, 3), dtype=np.intp)
     # nothing fits before t_0 once the overhead is spent: all undefined
@@ -264,7 +266,7 @@ def test_pick_sbs_pinned_and_auto():
 
     def mk(events, sid):
         ev = tuple(events)
-        return Trajectory(sid, "i", grid.horizon, ev, sample_events(ev, grid))
+        return Trajectory(sid, "i", ev)
 
     trajs = {"i": {"a": mk([(0.5, 10)], "a"), "b": mk([(0.5, 5)], "b")}}
     ctx = context_from_trajectories(grid, ["a", "b"], trajs)
@@ -431,7 +433,7 @@ def test_evaluate_selector_matches_oracles(tmp_path):
     archive.register_instance("late__late", "late", str(late))
     late_events = {"s0": ((5.0, 40), (300.0, 31)), "s1": ((90.0, 35),), "s2": (), "s3": ()}
     for sid, ev in late_events.items():
-        archive.write_trajectory(Trajectory(sid, "late__late", grid.horizon, ev, sample_events(ev, grid)))
+        archive.write_trajectory(Trajectory(sid, "late__late", ev))
 
     ds = build_dataset(archive, "basic", order)
     paths = {iid: path for iid, _, path in archive.instances()}
@@ -471,7 +473,7 @@ def test_objectives_beyond_int64(tmp_path):
         paths[iid] = str(path)
         archive.register_instance(iid, "b0", str(path))
         for sid, ev in per_solver.items():
-            archive.write_trajectory(Trajectory(sid, iid, grid.horizon, ev, sample_events(ev, grid)))
+            archive.write_trajectory(Trajectory(sid, iid, ev))
 
     ds = build_dataset(archive, "basic", order)
     for r in ds.rows:

@@ -16,9 +16,9 @@ from pbselect.features import (
     feature_names,
 )
 from pbselect.grid import make_grid
-from pbselect.opb import Constraint, Instance, MissingObjectiveError, Term, linearize, parse_opb
+from pbselect.opb import Constraint, MissingObjectiveError, Term, linearize, parse_opb
 
-from gen import random_instance
+from gen import opb_text, random_instance
 
 TOY = "* #variable= 2 #constraint= 1\nmin: +1 x1 -2 x2 ;\n+1 x1 +1 x2 >= 1 ;\n"
 TOY_VECTOR = (1.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.5, 1.0, 0.5)
@@ -117,7 +117,7 @@ def _instances(draw):
             max_size=6,
         )
     )
-    return Instance.from_terms(tuple(objective), tuple(constraints), n_vars, len(constraints))
+    return parse_opb(opb_text(objective, constraints, n_vars, len(constraints)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,11 +187,8 @@ def test_reordering_invariance():
             type(c)(tuple(rng.sample(c.terms, len(c.terms))), c.relation, c.rhs)
             for c in constraints
         ]
-        shuffled = Instance.from_terms(
-            objective=inst.objective,
-            constraints=tuple(constraints),
-            num_variables=inst.num_variables,
-            declared_constraints=inst.declared_constraints,
+        shuffled = parse_opb(
+            opb_text(inst.objective, constraints, inst.num_variables, inst.declared_constraints)
         )
         assert extract_nonlinear(shuffled).values == extract_nonlinear(inst).values
 

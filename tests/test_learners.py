@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbselect.dataset import NO_SOLUTION
-from pbselect.features import encode_timestep, extract_basic, extract_nonlinear
+from pbselect.features import encode_timestep, extract_basic, extract_nonlinear, feature_names
 from pbselect.grid import make_grid
 from pbselect.learners import TrainedModel
 from pbselect.learners.boosting import SingleClassError, fit_gradient_boosting
@@ -36,6 +36,11 @@ def _blobs(n=400, d=6, classes=3, seed=0, noise=0.0):
         flip = rng.random(n) < noise
         y[flip] = rng.integers(0, classes, flip.sum())
     return X, y
+
+
+def _predict(model, X):
+    """Class of each row as ``TrainedModel.predict_batch`` picks it."""
+    return np.argmax(model.predict_proba(X), axis=1)
 
 
 # --- decision tree -------------------------------------------------------------
@@ -266,7 +271,7 @@ def test_forest_single_class_training():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.ones(10, dtype=np.intp)
     model = fit_random_forest(X, y, 3, n_estimators=5, seed=0)
-    assert np.all(model.predict(X) == 1)
+    assert np.all(_predict(model, X) == 1)
 
 
 def test_forest_probabilities_are_distributions():
@@ -278,10 +283,6 @@ def test_forest_probabilities_are_distributions():
 
 
 def test_forest_majority_vote_and_tie_break():
-    X, y = _blobs(100, seed=6)
-    model = fit_random_forest(X, y, 3, n_estimators=7, seed=2)
-    probs = model.predict_proba(X)
-    assert np.array_equal(model.predict(X), np.argmax(probs, axis=1))
     # two single-leaf trees voting for different classes: an exact tie,
     # which must go to the lowest class index
     tie = ForestModel(
@@ -297,7 +298,7 @@ def test_forest_majority_vote_and_tie_break():
     )
     rows = np.array([[0.0], [5.0]])
     assert tie.predict_proba(rows).tolist() == [[0.0, 0.5, 0.5]] * 2
-    assert tie.predict(rows).tolist() == [1, 1]
+    assert _predict(tie, rows).tolist() == [1, 1]
 
 
 def test_forest_class_weights_validated():
@@ -320,13 +321,13 @@ def test_gb_zero_learning_rate_predicts_prior():
     X, y = _blobs(120, seed=8)
     model = fit_gradient_boosting(X, y, 3, n_estimators=5, learning_rate=0.0, seed=0)
     majority = int(np.bincount(y).argmax())
-    assert np.all(model.predict(X) == majority)
+    assert np.all(_predict(model, X) == majority)
 
 
 def test_gb_separable_data_high_accuracy():
     X, y = _blobs(300, seed=9)
     model = fit_gradient_boosting(X, y, 3, n_estimators=100, learning_rate=0.25, seed=0)
-    assert np.mean(model.predict(X) == y) >= 0.99
+    assert np.mean(_predict(model, X) == y) >= 0.99
 
 
 def test_gb_loss_non_increasing_at_quarter_rate():
@@ -357,14 +358,14 @@ def test_gb_determinism(tmp_path):
 def test_knn_k1_returns_training_label():
     X, y = _blobs(80, seed=12)
     model = fit_knn(X, y, 1, 3)
-    assert np.array_equal(model.predict(X), y)
+    assert np.array_equal(_predict(model, X), y)
 
 
 def test_knn_k_equals_n_returns_global_majority():
     X, y = _blobs(60, seed=13)
     model = fit_knn(X, y, len(X), 3)
     majority = int(np.bincount(y, minlength=3).argmax())
-    assert np.all(model.predict(X[:10]) == majority)
+    assert np.all(_predict(model, X[:10]) == majority)
 
 
 def test_knn_k_out_of_range():
@@ -380,7 +381,7 @@ def test_knn_zero_variance_feature_passes_through():
     y = np.array([0, 0, 1])
     model = fit_knn(X, y, 1, 2)
     assert model.std[1] == 1.0
-    assert model.predict(np.array([[2.0, 5.0]])).tolist() == [1]
+    assert _predict(model, np.array([[2.0, 5.0]])).tolist() == [1]
     assert model.predict_proba(np.array([[2.0, 5.0]])).tolist() == [[0.0, 1.0]]
 
 
@@ -389,7 +390,7 @@ def test_knn_distance_tie_includes_earlier_row():
     X = np.array([[0.0], [2.0]])
     y = np.array([1, 0])
     model = fit_knn(X, y, 1, 2, standardize=False)
-    assert model.predict(np.array([[1.0], [1.0]])).tolist() == [1, 1]
+    assert _predict(model, np.array([[1.0], [1.0]])).tolist() == [1, 1]
 
 
 def _stable_knn_proba(model, X):
@@ -423,7 +424,7 @@ def test_knn_vote_tie_breaks_by_class_order():
     y = np.array([1, 1, 0, 0])
     model = fit_knn(X, y, 4, 2, standardize=False)
     assert model.predict_proba(np.array([[0.6]])).tolist() == [[0.5, 0.5]]
-    assert model.predict(np.array([[0.6]])).tolist() == [0]
+    assert _predict(model, np.array([[0.6]])).tolist() == [0]
 
 
 # --- class weights and MDI --------------------------------------------------------
@@ -497,7 +498,6 @@ def _container(family, model, seed=0):
         params={"grid": {"count": 4, "horizon": 100.0, "t_min": 1.0}},
         seed=seed,
         model=model,
-        mdi=None if family == "knn" else mdi_importance(model).tolist(),
     )
 
 
@@ -595,6 +595,32 @@ def test_file_with_dropped_model_keys_loads_and_predicts_the_same(family, tmp_pa
     loaded = TrainedModel.load(old)
     assert loaded.model.predict_proba(X).tobytes() == tm.model.predict_proba(X).tobytes()
     assert loaded.predict_batch(X).tolist() == tm.predict_batch(X).tolist()
+
+
+@pytest.mark.parametrize("family", ["rf", "gb", "knn"])
+def test_mdi_is_not_stored_and_stored_mdi_is_ignored(family, tmp_path, capsys):
+    from pbselect.cli import main
+
+    tm = _trained(family)
+    new, old = tmp_path / "new.zip", tmp_path / "old.zip"
+    tm.save(new)
+    with zipfile.ZipFile(new) as archive:
+        assert "mdi" not in json.loads(archive.read("header.json"))
+    # a file written while the header held the importances
+    stored = None if family == "knn" else mdi_importance(tm.model).tolist()
+    old.write_bytes(new.read_bytes())
+    _rewrite_header(old, mdi=stored)
+    assert TrainedModel.load(old).mdi == stored
+    assert TrainedModel.load(new).mdi == stored
+    outputs = []
+    for path in (new, old):
+        code = main(["importance", "--model", str(path)])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    if stored is not None:
+        assert outputs[0][1] == "feature,mdi_importance\n" + "".join(
+            f"{name},{value!r}\n" for name, value in zip(feature_names("basic"), stored)
+        )
 
 
 def test_trained_model_rejects_schema_mismatch(tmp_path):

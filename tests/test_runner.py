@@ -13,6 +13,7 @@ from pbselect.runner import (
     RunArchive,
     SolverAdapter,
     Trajectory,
+    achievement_times,
     instance_id_for,
     parse_events,
     raw_log_to_text,
@@ -30,14 +31,8 @@ from oracles import oracle_sample, raw_log_from_text
 GRID2 = make_grid(2, 10.0, 1.0)
 
 
-def _traj(events, grid=GRID2, solver="s", instance="i"):
-    return Trajectory(
-        solver_id=solver,
-        instance_id=instance,
-        horizon=grid.horizon,
-        events=tuple(events),
-        sampled=sample_events(tuple(events), grid),
-    )
+def _traj(events, solver="s", instance="i"):
+    return Trajectory(solver_id=solver, instance_id=instance, events=tuple(events))
 
 
 # --- sampling ----------------------------------------------------------------
@@ -92,7 +87,7 @@ def test_sampling_matches_bruteforce_on_random_events():
             times = sorted([shared, shared] + [t for t, _ in events[1:]])
             events = tuple(zip(times, [events[0][1] + 1] + [v for _, v in events]))
         sampled = sample_events(events, grid)
-        achieved = _traj(events, grid).achievement_times(grid)
+        achieved = achievement_times(events, grid)
         for j, t in enumerate(grid.points):
             assert sampled[j] == oracle_sample(events, t)
             # the time of the last event at or before t, by direct scan
@@ -131,9 +126,8 @@ def test_trajectory_monotone_and_defined_suffix():
 
 def test_achievement_times():
     grid = make_grid(3, 100.0, 1.0)
-    traj = _traj(((0.5, 12), (5.0, 7)), grid)
-    assert traj.achievement_times(grid) == [0.5, 5.0, 5.0]
-    assert _traj((), grid).achievement_times(grid) == [None, None, None]
+    assert achievement_times(((0.5, 12), (5.0, 7)), grid) == [0.5, 5.0, 5.0]
+    assert achievement_times((), grid) == [None, None, None]
 
 
 # --- trajectory and raw-log round-trips ---------------------------------------
@@ -141,7 +135,7 @@ def test_achievement_times():
 
 def test_trajectory_text_roundtrip():
     grid = make_grid(4, 1000.0, 1.0)
-    traj = _traj(((0.25, 10**40), (900.0, -3)), grid)
+    traj = _traj(((0.25, 10**40), (900.0, -3)))
     again, meta = trajectory_from_text(trajectory_to_text(traj, grid))
     assert again == traj
     assert meta["count"] == 4
@@ -171,7 +165,7 @@ def test_run_solver_records_stream(stub_solver, opb_file):
     adapter = SolverAdapter("fast", stub_solver("0:o 12|0.05:o 7"))
     traj, raw = run_solver(adapter, opb_file, grid, instance_id="toy")
     assert [v for _, v in traj.events] == [12, 7]
-    assert traj.sampled == (7, 7, 7)  # both events land before the 0.5 s point
+    assert sample_events(traj.events, grid) == (7, 7, 7)  # both events land before the 0.5 s point
     assert traj.status == "ok"
     assert parse_events(raw, "event-stream", grid.horizon) == traj.events
 
@@ -180,7 +174,7 @@ def test_run_solver_empty_output(stub_solver, opb_file):
     grid = make_grid(2, 2.0, 0.5)
     adapter = SolverAdapter("mute", stub_solver(""))
     traj, _ = run_solver(adapter, opb_file, grid)
-    assert traj.sampled == (None, None)
+    assert sample_events(traj.events, grid) == (None, None)
 
 
 def test_run_solver_crash_keeps_events(stub_solver, opb_file):
@@ -196,7 +190,7 @@ def test_run_solver_kills_at_horizon(stub_solver, opb_file):
     adapter = SolverAdapter("slow", stub_solver("0:o 9|30:o 1"))
     traj, _ = run_solver(adapter, opb_file, grid)
     assert [v for _, v in traj.events] == [9]
-    assert traj.status == "ok"  # budget kill is not a crash
+    assert traj.status == "killed"
 
 
 @pytest.mark.parametrize("script", ["echo o 5; sleep 3; echo o 4", "sleep 3 & echo o 5"])
@@ -208,7 +202,7 @@ def test_budget_kill_reaches_grandchildren(script, opb_file):
     lines, status = run_adapter(adapter, opb_file, 0.5)
     assert time.monotonic() - t0 < 0.5 + 1.0
     assert [line for _, line in lines] == ["o 5"]
-    assert status == "ok"
+    assert status == "killed"
 
 
 def test_missing_executable_is_hard_error(opb_file):
@@ -276,7 +270,7 @@ def test_run_portfolio_parallel_matches_sequential(stub_solver, tmp_path):
             a = seq.read_trajectory(iid, sid)
             b = par.read_trajectory(iid, sid)
             assert [v for _, v in a.events] == [v for _, v in b.events]
-            assert a.sampled == b.sampled
+            assert sample_events(a.events, grid) == sample_events(b.events, grid)
 
 
 def test_run_portfolio_isolates_failures(stub_solver, tmp_path):
@@ -300,7 +294,7 @@ def test_successful_write_clears_stale_failure(tmp_path):
     archive = RunArchive(tmp_path / "a", grid)
     archive.record_failure("i", "s", "cannot launch solver")
     assert len(archive.failures()) == 1
-    archive.write_trajectory(_traj(((0.5, 3),), grid))
+    archive.write_trajectory(_traj(((0.5, 3),)))
     assert archive.failures() == []
     assert archive.has("i", "s")
 
@@ -327,7 +321,7 @@ def test_interrupted_archive_writes_leave_no_partial_file(tmp_path, monkeypatch)
 def test_read_trajectory_checks_whole_grid(tmp_path):
     grid = make_grid(2, 10.0, 1.0)
     archive = RunArchive(tmp_path / "a", grid)
-    archive.write_trajectory(_traj(((0.5, 3),), grid))
+    archive.write_trajectory(_traj(((0.5, 3),)))
     assert archive.read_trajectory("i", "s").events == ((0.5, 3),)
     path = archive._pair_base("i", "s").with_suffix(".traj")
     lines = path.read_text().splitlines()
@@ -417,18 +411,18 @@ def test_failed_write_leaves_no_trajectory(tmp_path):
     grid = make_grid(2, 10.0, 1.0)
     archive = RunArchive(tmp_path / "a", grid)
     with pytest.raises(UnicodeEncodeError):
-        archive.write_trajectory(_traj(((0.5, _Unencodable(3)),), grid), [(0.5, "o 3")])
+        archive.write_trajectory(_traj(((0.5, _Unencodable(3)),)), [(0.5, "o 3")])
     assert not archive.has("i", "s")
     # the log was whole before the trajectory write failed; no temporary file is left
     assert [p.name for p in (tmp_path / "a" / "i").iterdir()] == ["s.log"]
-    archive.write_trajectory(_traj(((0.5, 3),), grid), [(0.5, "o 3")])
+    archive.write_trajectory(_traj(((0.5, 3),)), [(0.5, "o 3")])
     assert archive.read_trajectory("i", "s").events == ((0.5, 3),)
 
 
 def test_read_trajectory_rejects_short_sampled_record(tmp_path):
     grid = make_grid(3, 10.0, 1.0)
     archive = RunArchive(tmp_path / "a", grid)
-    archive.write_trajectory(_traj(((0.5, 3),), grid))
+    archive.write_trajectory(_traj(((0.5, 3),)))
     path = archive._pair_base("i", "s").with_suffix(".traj")
     text = path.read_text()
     assert text.endswith("sampled 3 3 3\n")
@@ -436,6 +430,86 @@ def test_read_trajectory_rejects_short_sampled_record(tmp_path):
         path.write_text(text.replace("sampled 3 3 3", record))
         with pytest.raises(ValueError, match="sampled"):
             archive.read_trajectory("i", "s")
+
+
+def _foreign_traj_text(grid, events, sampled):
+    """A ``.traj`` file as a tool other than this program writes it."""
+    meta = {"solver": "s", "instance": "i", "horizon": grid.horizon, "count": grid.count,
+            "t_min": grid.t_min, "status": "ok"}
+    lines = [json.dumps(meta)] + [f"{t!r} {v}" for t, v in events]
+    lines.append("sampled " + " ".join("NA" if v is None else str(v) for v in sampled))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_files_of_other_writers_read_as_their_events(tmp_path):
+    rng = random.Random(23)
+    grid = make_grid(12, 50.0, 0.5)
+    archive = RunArchive(tmp_path / "a", grid)
+    path = archive._pair_base("i", "s").with_suffix(".traj")
+    path.parent.mkdir()
+    for _ in range(300):
+        # events on grid points and between them, some without any
+        times = sorted(
+            rng.choice([rng.choice(grid.points), round(rng.uniform(0, grid.horizon), 3)])
+            for _ in range(rng.choice([0, 1, 2, 4, 6]))
+        )
+        if len(times) > 1 and rng.random() < 0.5:
+            times[1] = times[0]  # two lines read in one clock tick
+        events = tuple(zip(times, sorted(rng.sample(range(-20, 40), len(times)), reverse=True)))
+        path.write_text(_foreign_traj_text(grid, events, [oracle_sample(events, t) for t in grid.points]))
+        traj = archive.read_trajectory("i", "s")
+        assert traj.events == events
+        assert sample_events(traj.events, grid) == tuple(oracle_sample(events, t) for t in grid.points)
+        assert achievement_times(traj.events, grid) == [
+            max((et for et, _ in events if et <= t), default=None) for t in grid.points
+        ]
+
+
+def test_sampled_record_of_right_width_is_not_read(tmp_path):
+    grid = make_grid(3, 10.0, 1.0)
+    archive = RunArchive(tmp_path / "a", grid)
+    path = archive._pair_base("i", "s").with_suffix(".traj")
+    path.parent.mkdir()
+    path.write_text(_foreign_traj_text(grid, ((0.5, 3),), [9, None, -4]))
+    traj = archive.read_trajectory("i", "s")
+    assert traj == _traj(((0.5, 3),))
+    assert sample_events(traj.events, grid) == (3, 3, 3)
+
+
+@pytest.mark.parametrize("cut", ["in the benchmark field", "in the path field"])
+def test_torn_manifest_line_is_dropped_and_registered_again(cut, tmp_path, caplog):
+    # a crash in the middle of an append leaves the manifest's last line
+    # without its newline; cut in the path, it still holds three fields
+    grid = make_grid(2, 1.0, 0.2)
+    paths = _instances(tmp_path, n=2)
+    portfolio = PortfolioConfig(adapters=[SolverAdapter("echo", ("sh", "-c", "echo o 5"))])
+    root = tmp_path / "arch"
+    run_portfolio(portfolio, paths[:1], grid, root)
+    manifest = root / "instances.tsv"
+    whole = manifest.read_text()
+    iid = instance_id_for(paths[1], "benchX")
+    line = f"{iid}\tbenchX\t{paths[1]}"
+    torn = line[: len(iid) + 3] if cut == "in the benchmark field" else line[:-4]
+    manifest.write_text(whole + torn)
+    with caplog.at_level("WARNING"):
+        reopened = RunArchive(root)
+    assert repr(torn) in caplog.text
+    assert manifest.read_text() == whole
+    assert iid not in [i for i, _, _ in reopened.instances()]
+    archive = run_portfolio(portfolio, paths, grid, root)
+    assert (iid, "benchX", str(paths[1])) in archive.instances()
+    assert archive.read_trajectory(iid, "echo").events[0][1] == 5
+    assert RunArchive(root).instances() == archive.instances()
+
+
+@pytest.mark.parametrize("line", ["b0__j\tb0", "b0__j\tb0\tx/b0/j.opb\textra", ""])
+def test_malformed_manifest_line_is_an_error(line, tmp_path):
+    archive = RunArchive(tmp_path / "a", make_grid(2, 10.0, 1.0))
+    archive.register_instance("b0__i", "b0", "x/b0/i.opb")
+    manifest = tmp_path / "a" / "instances.tsv"
+    manifest.write_text(manifest.read_text() + line + "\nb0__k\tb0\tx/b0/k.opb\n")
+    with pytest.raises(ValueError, match=r"instances\.tsv, line 2: \d fields, expected 3"):
+        RunArchive(tmp_path / "a")
 
 
 def test_instance_id_collision_is_rejected(stub_solver, tmp_path):
