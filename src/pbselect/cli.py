@@ -127,10 +127,6 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     ds = ds_mod.read_csv(args.dataset)
-    if args.schema and args.schema != ds.schema:
-        raise CliError(
-            f"dataset was built with schema {ds.schema!r}, not {args.schema!r}", 2
-        )
     model = train_model(
         ds,
         args.family,
@@ -243,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a selection model")
     p.add_argument("--dataset", required=True)
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--schema", choices=sorted(SCHEMAS), help="must match the dataset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--class-weights", choices=MODES, default=INVERSE_FREQUENCY)
     p.add_argument("--drop-no-solution", action="store_true",

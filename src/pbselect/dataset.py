@@ -8,12 +8,12 @@ instance-then-timestep order; ``rows`` builds one read-only
 layout: a CSV with one line per instance (its features, then its label at
 each grid index) and a ``.meta.json`` sidecar for everything else.
 
-The winner is the solver holding the smallest sampled objective at that
+The winner is the solver holding the smallest objective at that
 timestep; ties go to the solver that reached the value first, and residual
 ties (same value, same time) to the earlier solver in portfolio declaration
 order.  Pairs where no solver has found anything yet get the NO_SOLUTION
 label.  Objectives are unbounded ints, compared through their ranks among
-the instance's distinct values.
+the instance's distinct event values (:func:`pbselect.runner.held_ranks`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import features
 from .features import FeatureVector, encode_timestep, feature_names
 from .grid import TimestepGrid, make_grid
 from .opb import MissingObjectiveError, OpbParseError, parse_opb_file
-from .runner import RunArchive, last_events
+from .runner import RunArchive, held_ranks
 
 logger = logging.getLogger(__name__)
 
@@ -42,37 +42,19 @@ NO_SOLUTION = "NO_SOLUTION"
 TRAIN = "train"
 TEST = "test"
 
-def rank_sampled(sampled: list[tuple[int | None, ...]]) -> tuple[np.ndarray, list[int]]:
-    """Rank every sampled objective among the distinct ones of an instance.
+def winner_labels(ranks: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Winner label index at each timestep of one instance, from
+    :func:`~pbselect.runner.held_ranks`' (timestep x solver) ranks and times.
 
-    ``sampled`` holds one tuple per solver.  Returns the ranks as a
-    (timestep x solver) array, -1 where a solver has no solution, and the
-    distinct values in increasing order, so ``distinct[rank]`` is the value.
+    Smallest objective wins, then earliest achievement, then declaration
+    order; index ``ranks.shape[1]`` (no solver holds a rank) is NO_SOLUTION.
     """
-    distinct = sorted({v for per_solver in sampled for v in per_solver if v is not None})
-    rank = {v: r for r, v in enumerate(distinct)}
-    rank[None] = -1
-    ranks = np.array([[rank[v] for v in per_solver] for per_solver in sampled], dtype=np.intp)
-    return ranks.T, distinct
-
-
-def winner_labels(
-    sampled: list[tuple[int | None, ...]], achieved: list[list[float | None]]
-) -> np.ndarray:
-    """Winner label index at each timestep of one instance.
-
-    ``sampled[s][j]`` is solver s's objective at timestep j and
-    ``achieved[s][j]`` the time it reached that value, both None while it
-    has no solution.  Smallest objective wins, then earliest achievement,
-    then declaration order; index ``len(sampled)`` stands for NO_SOLUTION.
-    """
-    ranks, _ = rank_sampled(sampled)
     feasible = ranks >= 0
     key = np.where(feasible, ranks, np.iinfo(np.intp).max)
     tied = key == key.min(axis=1, keepdims=True)
-    at = np.where(tied, np.array(achieved, dtype=np.float64).T, np.inf)
+    at = np.where(tied, times, np.inf)
     first = tied & (at == at.min(axis=1, keepdims=True))
-    return np.where(feasible.any(axis=1), first.argmax(axis=1), len(sampled))
+    return np.where(feasible.any(axis=1), first.argmax(axis=1), ranks.shape[1])
 
 
 @dataclass(frozen=True)
@@ -183,14 +165,8 @@ def build_dataset(
         ids.append(iid)
         benches.append(bench)
         table.append(values)
-        # the (time, value) event each solver holds at each grid point
-        held = [
-            [t.events[i] if i >= 0 else (None, None) for i in last_events(t.events, grid)]
-            for t in trajs
-        ]
-        labels.append(
-            winner_labels([[v for _, v in h] for h in held], [[at for at, _ in h] for h in held])
-        )
+        ranks, times, _ = held_ranks(trajs, grid)
+        labels.append(winner_labels(ranks, times))
     for iid, reason in skipped:
         logger.warning("skipped %s: %s", iid, reason)
     return LabeledDataset(
@@ -311,13 +287,27 @@ def write_csv(ds: LabeledDataset, path: str | Path) -> None:
     _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def _feature_row(path: Path, iid: str, names: list[str], cells: list[str]) -> list[float]:
+    row = []
+    for name, cell in zip(names, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: instance {iid} has feature {name} = {cell!r}, not a finite float")
+        row.append(value)
+    return row
+
+
 def read_csv(path: str | Path) -> LabeledDataset:
     """Read a dataset written by :func:`write_csv`.
 
     Raises ValueError when the header is not the one the sidecar implies
     (as for a file of an older layout, which must be built again), and,
     naming the instance, when a line has another width than the header,
-    holds an unknown label or split part, or repeats an instance.
+    holds an unknown label or split part or a feature that is not a finite
+    float, or repeats an instance.
     """
     path = Path(path)
     meta = json.loads(_sidecar(path).read_text())
@@ -327,6 +317,7 @@ def read_csv(path: str | Path) -> LabeledDataset:
     header = _header(schema, grid.count)
     first_label = len(header) - grid.count
     lines: dict[str, list[str]] = {}
+    table: list[list[float]] = []
     labels: list[list[int]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -343,6 +334,7 @@ def read_csv(path: str | Path) -> LabeledDataset:
                 raise ValueError(f"{path}: instance {iid} has two lines")
             if rec[2] not in ("", TRAIN, TEST):
                 raise ValueError(f"{path}: instance {iid} has unknown split part {rec[2]!r}")
+            table.append(_feature_row(path, iid, header[3:first_label], rec[3:first_label]))
             try:
                 labels.append([label_index[name] for name in rec[first_label:]])
             except KeyError as exc:
@@ -351,7 +343,7 @@ def read_csv(path: str | Path) -> LabeledDataset:
     return LabeledDataset(
         instance_ids=list(lines),
         benchmark_ids=[rec[0] for rec in lines.values()],
-        features=[list(map(float, rec[3:first_label])) for rec in lines.values()],
+        features=table,
         labels=labels,
         schema=schema,
         encoding=meta["encoding"],

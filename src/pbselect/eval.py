@@ -5,11 +5,13 @@ solver's sampled objective normalized per instance against the best and
 worst values any portfolio solver ever found there, (o - o_min) /
 (o_max - o_min) computed from the exact ints, 0 when o_min == o_max, and
 2.0 where the solver has no solution yet.  ``ranks`` holds each value's
-rank among the instance's distinct objectives (-1 for none), for exact
-equality tests.  Only pairs where some solver has a solution are
-evaluated; summed over them with ``math.fsum`` (so their order does not
-matter), a solver's column gives m_s, the minimum over solvers m_VBS and
-a policy's chosen values m_ms.  The headline score is the gap ratio
+rank among the instance's distinct event values (-1 for none), for exact
+equality tests; values, ranks and bounds come from one
+:func:`pbselect.runner.held_ranks` table per instance.  Only pairs where
+some solver has a solution are evaluated; summed over them with
+``math.fsum`` (so their order does not matter), a solver's column gives
+m_s, the minimum over solvers m_VBS and a policy's chosen values m_ms.
+The headline score is the gap ratio
 
     m_hat = (m_ms - m_VBS) / (m_SBS - m_VBS)
 
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TEST, LabeledDataset, rank_sampled
+from .dataset import TEST, LabeledDataset
 from .grid import TimestepGrid
-from .runner import RunArchive, Trajectory, sample_events
+from .runner import RunArchive, Trajectory, held_ranks
 
 
 class DegeneratePortfolioError(ValueError):
@@ -109,19 +111,17 @@ def context_from_trajectories(
     keeping the mapping's instance order.
 
     Each instance is normalized by the extremes of every event of every
-    portfolio solver.
+    portfolio solver, held at a grid point or not.
     """
     ids = list(trajectories)
     shape = (len(ids), grid.count, len(solver_order))
     values = np.full(shape, 2.0)
-    ranks = np.full(shape, -1, dtype=np.intp)
+    ranks = np.empty(shape, dtype=np.intp)
     for i, iid in enumerate(ids):
-        trajs = [trajectories[iid][sid] for sid in solver_order]
-        ranks[i], distinct = rank_sampled([sample_events(t.events, grid) for t in trajs])
+        ranks[i], _, distinct = held_ranks([trajectories[iid][sid] for sid in solver_order], grid)
         if not distinct:
             continue
-        events = [v for t in trajs for _, v in t.events]
-        lo, hi = min(events), max(events)
+        lo, hi = distinct[0], distinct[-1]
         table = [0.0 if lo == hi else (v - lo) / (hi - lo) for v in distinct] + [2.0]
         values[i] = np.array(table)[ranks[i]]
     return EvalContext(grid, list(solver_order), ids, values, ranks)

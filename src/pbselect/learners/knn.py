@@ -16,8 +16,8 @@ class KnnModel:
     y: np.ndarray
     k: int
     n_classes: int
-    mean: np.ndarray  # zeros and ones when fitted without standardization,
-    std: np.ndarray  # so that the transform returns the rows exactly
+    mean: np.ndarray
+    std: np.ndarray
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Vote shares of the k nearest training rows, a chunk of queries at a time."""
@@ -40,15 +40,11 @@ class KnnModel:
         return np.concatenate(parts)
 
 
-def fit_knn(
-    X: np.ndarray, y: np.ndarray, k: int, n_classes: int, standardize: bool = True
-) -> KnnModel:
+def fit_knn(X: np.ndarray, y: np.ndarray, k: int, n_classes: int) -> KnnModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     if not 1 <= k <= len(X):
         raise ValueError(f"k={k} must be between 1 and the training size {len(X)}")
-    mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
-    if standardize:
-        mean, std = X.mean(axis=0), X.std(axis=0)
-        std[std == 0.0] = 1.0  # constant features pass through unscaled
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    std[std == 0.0] = 1.0  # constant features pass through unscaled
     return KnnModel(X=(X - mean) / std, y=y, k=k, n_classes=n_classes, mean=mean, std=std)

@@ -7,7 +7,9 @@ timestamps each line against process spawn, terminates the child's whole
 process group at the budget (hard kill after a 1 s grace period), keeps
 strictly improving events only, and samples them onto a
 :class:`~pbselect.grid.TimestepGrid` as a step function (best value
-achieved at or before each grid point).
+achieved at or before each grid point).  Labeling and evaluation both read
+:func:`held_ranks`: what each solver holds at each grid point, as a rank
+among the instance's distinct event values, and since when.
 
 A run archive is a directory with one subdirectory per instance holding a
 ``<solver>.traj`` file (metadata line, event lines, sampled line) and the
@@ -33,6 +35,8 @@ from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .grid import TimestepGrid, make_grid
 
@@ -193,11 +197,22 @@ def sample_events(
     return tuple(events[i][1] if i >= 0 else None for i in last_events(events, grid))
 
 
-def achievement_times(
-    events: tuple[tuple[float, int], ...], grid: TimestepGrid
-) -> list[float | None]:
-    """Time of the incumbent held at each grid point, or None."""
-    return [events[i][0] if i >= 0 else None for i in last_events(events, grid)]
+def held_ranks(trajs: list[Trajectory], grid: TimestepGrid) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The incumbent each solver of one instance holds at each grid point:
+    (timestep x solver) arrays of its rank among the distinct values of all
+    the events, held at a grid point or not, and of the time it was reached,
+    -1 and NaN before the first event; then the distinct values in
+    increasing order, so ``distinct[rank]`` is the value.
+    """
+    distinct = sorted({v for t in trajs for _, v in t.events})
+    rank = {v: r for r, v in enumerate(distinct)}
+    ranks = np.empty((grid.count, len(trajs)), dtype=np.intp)
+    times = np.empty((grid.count, len(trajs)))
+    for s, t in enumerate(trajs):
+        held = np.array(last_events(t.events, grid))  # -1 picks the appended "nothing yet"
+        ranks[:, s] = np.array([rank[v] for _, v in t.events] + [-1], dtype=np.intp)[held]
+        times[:, s] = np.array([at for at, _ in t.events] + [np.nan])[held]
+    return ranks, times, distinct
 
 
 def _signal_group(pgid: int, sig: int) -> None:

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from pbselect import dataset
@@ -16,19 +18,28 @@ from pbselect.dataset import (
 )
 from pbselect.features import feature_names
 from pbselect.grid import make_grid
-from pbselect.runner import RunArchive, Trajectory, instance_id_for
+from pbselect.runner import RunArchive, Trajectory, held_ranks, instance_id_for
 
 from gen import random_events
-from oracles import oracle_label
+from oracles import oracle_label, oracle_sample
 
 ORDER = ["A", "B", "C"]
+
+
+def ranked_labels(sampled, achieved):
+    """:func:`winner_labels` of ``sampled[s][j]``, solver s's objective at
+    timestep j, and ``achieved[s][j]``, the time it reached it (both None
+    while it has none), ranked among the distinct sampled values."""
+    distinct = sorted({v for per_solver in sampled for v in per_solver if v is not None})
+    ranks = [[-1 if v is None else distinct.index(v) for v in per_solver] for per_solver in sampled]
+    return winner_labels(np.array(ranks, dtype=np.intp).T, np.array(achieved, dtype=np.float64).T)
 
 
 def label_pair(samples, solver_order):
     """Winner label of one timestep: ``samples`` maps solver id to its
     (sampled objective, achievement time)."""
     per_solver = [samples.get(sid, (None, None)) for sid in solver_order]
-    index = winner_labels([(v,) for v, _ in per_solver], [[at] for _, at in per_solver])
+    index = ranked_labels([(v,) for v, _ in per_solver], [[at] for _, at in per_solver])
     return (solver_order + [NO_SOLUTION])[index[0]]
 
 
@@ -337,8 +348,74 @@ def test_winner_labels_reduce_every_timestep_at_once():
             oracle_label([(sid, sampled[s][j], achieved[s][j]) for s, sid in enumerate(ORDER)])
             for j in range(count)
         ]
-        got = winner_labels(sampled, achieved)
+        got = ranked_labels(sampled, achieved)
         assert [(ORDER + [NO_SOLUTION])[k] for k in got] == want
+
+
+def _events_around_points(rng, grid):
+    """Strictly improving events on grid points and between them, two of
+    them at times between the same two points (the first is superseded
+    before it is sampled) or at one timestamp; values from a small range,
+    so that solvers share them."""
+    bounds = [0.0, *grid.points]
+    times = []
+    for _ in range(rng.choice([0, 1, 2, 3])):
+        j = rng.randrange(grid.count)
+        between = lambda: round(rng.uniform(bounds[j], bounds[j + 1]), 3)
+        shape = rng.choice(["on", "between", "superseded", "shared"])
+        if shape == "on":
+            times.append(bounds[j + 1])
+        elif shape == "between":
+            times.append(between())
+        elif shape == "superseded":
+            times += [between(), between()]
+        else:
+            times += [rng.choice([bounds[j + 1], between()])] * 2
+    times.sort()
+    return list(zip(times, sorted(rng.sample(range(12), len(times)), reverse=True)))
+
+
+def test_held_ranks_match_bruteforce_scan(tmp_path):
+    rng = random.Random(31)
+    grid = make_grid(6, 50.0, 0.5)
+    archive = RunArchive(tmp_path / "a", grid)
+    for sid in ORDER:
+        archive._pair_base("i", sid).parent.mkdir(exist_ok=True)
+    seen = dict.fromkeys(["unsampled", "after horizon", "empty", "shared value", "shared time"], 0)
+    for case in range(300):
+        events = {sid: _events_around_points(rng, grid) for sid in ORDER}
+        if case % 4 == 0:
+            # an event past the horizon, which only a hand-written file holds
+            late = events[rng.choice(ORDER)]
+            late.append((grid.horizon + rng.choice([0.001, 7.0]), min((v for _, v in late), default=0) - 1))
+        for sid in ORDER:
+            meta = {"solver": sid, "instance": "i", "horizon": grid.horizon, "count": grid.count,
+                    "t_min": grid.t_min, "status": "ok"}
+            lines = [json.dumps(meta), *(f"{t!r} {v}" for t, v in events[sid])]
+            lines.append("sampled" + " NA" * grid.count)
+            archive._pair_base("i", sid).with_suffix(".traj").write_text("\n".join(lines) + "\n")
+        ranks, times, distinct = held_ranks([archive.read_trajectory("i", sid) for sid in ORDER], grid)
+        assert distinct == sorted({v for per_solver in events.values() for _, v in per_solver})
+        assert ranks.shape == times.shape == (grid.count, len(ORDER))
+        want = []
+        for j, t in enumerate(grid.points):
+            candidates = []
+            for s, sid in enumerate(ORDER):
+                value = oracle_sample(events[sid], t)
+                at = max((et for et, _ in events[sid] if et <= t), default=None)
+                assert (ranks[j, s] == -1) if value is None else (distinct[ranks[j, s]] == value)
+                assert math.isnan(times[j, s]) if at is None else (times[j, s] == at)
+                candidates.append((sid, value, at))
+            want.append(oracle_label(candidates))
+        assert [(ORDER + [NO_SOLUTION])[k] for k in winner_labels(ranks, times)] == want
+        per_solver = list(events.values())
+        held = {distinct[r] for r in ranks.ravel().tolist() if r >= 0}
+        seen["unsampled"] += any(v not in held for e in per_solver for t, v in e if t <= grid.horizon)
+        seen["after horizon"] += any(t > grid.horizon for e in per_solver for t, _ in e)
+        seen["empty"] += not all(per_solver)
+        seen["shared value"] += sum(map(len, per_solver)) > len(distinct)
+        seen["shared time"] += any(len({t for t, _ in e}) < len(e) for e in per_solver)
+    assert min(seen.values()) >= 30, seen
 
 
 def _rewrite_csv(path, edit):
@@ -368,3 +445,20 @@ def test_read_csv_rejects_inconsistent_instance_lines(tmp_path):
         _rewrite_csv(out, edit)
         with pytest.raises(ValueError, match=match):
             read_csv(out)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc", ""])
+def test_read_csv_rejects_a_feature_that_is_not_a_finite_float(cell, tmp_path):
+    ds = split_by_benchmark(_dataset_with_benchmarks(tmp_path, [3]), seed=1)
+    out = tmp_path / "data.csv"
+    write_csv(ds, out)
+    iid, name = ds.instance_ids[1], feature_names(ds.schema, with_timestep=False)[1]
+    # line 0 is the header, line 2 holds instance 1; its features start at cell 3
+    lines = out.read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[3 + 1] = cell
+    lines[2] = ",".join(cells)
+    out.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_csv(out)
+    assert str(info.value) == f"{out}: instance {iid} has feature {name} = {cell!r}, not a finite float"

@@ -15,7 +15,7 @@ from pbselect.grid import make_grid
 from pbselect.learners import TrainedModel
 from pbselect.learners.boosting import SingleClassError, fit_gradient_boosting
 from pbselect.learners.forest import ForestModel, fit_random_forest, tree_rng
-from pbselect.learners.knn import fit_knn
+from pbselect.learners.knn import KnnModel, fit_knn
 from pbselect.learners.model_io import SchemaMismatchError, mdi_importance
 from pbselect.learners.train import hyperparams_for
 from pbselect.learners import tree as tree_mod
@@ -385,11 +385,18 @@ def test_knn_zero_variance_feature_passes_through():
     assert model.predict_proba(np.array([[2.0, 5.0]])).tolist() == [[0.0, 1.0]]
 
 
+def _unscaled_knn(X, y, k, n_classes):
+    """A knn model over the raw rows: zero means and unit scales."""
+    d = X.shape[1]
+    return KnnModel(X=X, y=np.asarray(y, dtype=np.intp), k=k, n_classes=n_classes,
+                    mean=np.zeros(d), std=np.ones(d))
+
+
 def test_knn_distance_tie_includes_earlier_row():
     # two training points equidistant from the query; stable order wins
     X = np.array([[0.0], [2.0]])
     y = np.array([1, 0])
-    model = fit_knn(X, y, 1, 2, standardize=False)
+    model = _unscaled_knn(X, y, 1, 2)
     assert _predict(model, np.array([[1.0], [1.0]])).tolist() == [1, 1]
 
 
@@ -406,7 +413,7 @@ def test_knn_tie_group_cut_at_kth_boundary():
     # distances 0, 1, 1, 1, 2: k=3 keeps row 0 and the first two rows at 1
     X = np.array([[0.0], [1.0], [-1.0], [1.0], [2.0]])
     y = np.array([0, 1, 2, 2, 2])
-    model = fit_knn(X, y, 3, 3, standardize=False)
+    model = _unscaled_knn(X, y, 3, 3)
     assert model.predict_proba(np.array([[0.0]])).tolist() == [[1 / 3, 1 / 3, 1 / 3]]
     # integer features full of ties, against the stable-sort reference
     rng = np.random.default_rng(9)
@@ -414,15 +421,14 @@ def test_knn_tie_group_cut_at_kth_boundary():
     y = rng.integers(0, 4, size=200)
     Q = rng.integers(0, 3, size=(60, 3)).astype(float)
     for k in (1, 5, 21, 200):
-        for standardize in (False, True):
-            model = fit_knn(X, y, k, 4, standardize=standardize)
+        for model in (_unscaled_knn(X, y, k, 4), fit_knn(X, y, k, 4)):
             assert model.predict_proba(Q).tobytes() == _stable_knn_proba(model, Q).tobytes()
 
 
 def test_knn_vote_tie_breaks_by_class_order():
     X = np.array([[0.0], [0.2], [1.0], [1.2]])
     y = np.array([1, 1, 0, 0])
-    model = fit_knn(X, y, 4, 2, standardize=False)
+    model = _unscaled_knn(X, y, 4, 2)
     assert model.predict_proba(np.array([[0.6]])).tolist() == [[0.5, 0.5]]
     assert _predict(model, np.array([[0.6]])).tolist() == [0]
 

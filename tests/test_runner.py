@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -13,7 +14,7 @@ from pbselect.runner import (
     RunArchive,
     SolverAdapter,
     Trajectory,
-    achievement_times,
+    held_ranks,
     instance_id_for,
     parse_events,
     raw_log_to_text,
@@ -33,6 +34,13 @@ GRID2 = make_grid(2, 10.0, 1.0)
 
 def _traj(events, solver="s", instance="i"):
     return Trajectory(solver_id=solver, instance_id=instance, events=tuple(events))
+
+
+def _held_times(events, grid):
+    """Time of the incumbent held at each grid point, None before the first
+    event: :func:`held_ranks`' times of the one trajectory."""
+    _, times, _ = held_ranks([_traj(events)], grid)
+    return [None if math.isnan(t) else t for t in times[:, 0].tolist()]
 
 
 # --- sampling ----------------------------------------------------------------
@@ -87,7 +95,7 @@ def test_sampling_matches_bruteforce_on_random_events():
             times = sorted([shared, shared] + [t for t, _ in events[1:]])
             events = tuple(zip(times, [events[0][1] + 1] + [v for _, v in events]))
         sampled = sample_events(events, grid)
-        achieved = achievement_times(events, grid)
+        achieved = _held_times(events, grid)
         for j, t in enumerate(grid.points):
             assert sampled[j] == oracle_sample(events, t)
             # the time of the last event at or before t, by direct scan
@@ -126,8 +134,8 @@ def test_trajectory_monotone_and_defined_suffix():
 
 def test_achievement_times():
     grid = make_grid(3, 100.0, 1.0)
-    assert achievement_times(((0.5, 12), (5.0, 7)), grid) == [0.5, 5.0, 5.0]
-    assert achievement_times((), grid) == [None, None, None]
+    assert _held_times(((0.5, 12), (5.0, 7)), grid) == [0.5, 5.0, 5.0]
+    assert _held_times((), grid) == [None, None, None]
 
 
 # --- trajectory and raw-log round-trips ---------------------------------------
@@ -460,7 +468,7 @@ def test_trajectory_files_of_other_writers_read_as_their_events(tmp_path):
         traj = archive.read_trajectory("i", "s")
         assert traj.events == events
         assert sample_events(traj.events, grid) == tuple(oracle_sample(events, t) for t in grid.points)
-        assert achievement_times(traj.events, grid) == [
+        assert _held_times(traj.events, grid) == [
             max((et for et, _ in events if et <= t), default=None) for t in grid.points
         ]
 
