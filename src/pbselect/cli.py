@@ -5,15 +5,24 @@ build-dataset, split, train, evaluate, importance, solve, summary.
 Failures print a machine-readable JSON record on stderr and exit nonzero.
 The METASELECT_PORTFOLIO environment variable supplies the default
 portfolio config path.
+
+Every report is a set of ``(header, rows)`` tables keyed by file stem,
+written as CSV by :func:`write_tables`: ``features`` and ``importance``
+print theirs, ``evaluate --out-dir`` writes ``confusion.csv``,
+``m_hat_timesteps.csv`` and ``breakdown.csv``, and ``summary --out-dir``
+``wins_by_timestep.csv`` and ``wins_by_benchmark.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import dataset as ds_mod
@@ -71,6 +80,19 @@ def _collect_instances(paths: list[str]) -> list[Path]:
     return out
 
 
+def write_tables(tables: dict[str, tuple[list[str], list]], out_dir: str | None = None) -> None:
+    """Write each ``(header, rows)`` table as CSV lines ending in ``\\n``, to ``<out_dir>/<stem>.csv``
+    or to stdout; a cell holding a comma, a quote, ``\\r`` or ``\\n`` is quoted, and None is empty."""
+    if out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    for stem, (header, rows) in tables.items():
+        with open(Path(out_dir, f"{stem}.csv"), "w", newline="") if out_dir else nullcontext(sys.stdout) as fh:
+            for row in [header, *rows]:
+                line = io.StringIO()
+                csv.writer(line, lineterminator="\r\n").writerow(row)  # "\r\n": both characters quote a cell
+                fh.write(line.getvalue()[:-2] + "\n")
+
+
 def cmd_parse(args) -> int:
     inst = parse_opb_file(args.instance)
     if not args.check:
@@ -79,15 +101,11 @@ def cmd_parse(args) -> int:
 
 
 def cmd_features(args) -> int:
-    writer_rows = []
-    for path in _collect_instances(args.instances):
-        inst = parse_opb_file(path)
-        fv = extract(inst, args.schema)
-        writer_rows.append((str(path), fv.values))
-    names = feature_names(args.schema, with_timestep=False)
-    print("instance," + ",".join(names))
-    for name, values in writer_rows:
-        print(name + "," + ",".join(repr(v) for v in values))
+    rows = [
+        [str(path), *extract(parse_opb_file(path), args.schema).values]
+        for path in _collect_instances(args.instances)
+    ]
+    write_tables({"features": (["instance", *feature_names(args.schema, with_timestep=False)], rows)})
     return 0
 
 
@@ -146,11 +164,7 @@ def cmd_evaluate(args) -> int:
     report = eval_mod.evaluate_selector(model, ds, archive, sbs=args.sbs)
     sys.stdout.write(report.to_text())
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "confusion.csv").write_text(report.confusion_csv())
-        (out / "m_hat_timesteps.csv").write_text(report.per_timestep_csv())
-        (out / "breakdown.csv").write_text(report.breakdown_csv())
+        write_tables(report.tables(), args.out_dir)
     return 0
 
 
@@ -158,9 +172,7 @@ def cmd_importance(args) -> int:
     model = TrainedModel.load(args.model)
     if model.mdi is None:
         raise CliError(f"{model.family} models have no MDI importances", 2)
-    print("feature,mdi_importance")
-    for name, value in zip(feature_names(model.schema), model.mdi):
-        print(f"{name},{value!r}")
+    write_tables({"importance": (["feature", "mdi_importance"], zip(feature_names(model.schema), model.mdi))})
     return 0
 
 
@@ -186,12 +198,8 @@ def cmd_solve(args) -> int:
 
 def cmd_summary(args) -> int:
     ds = ds_mod.read_csv(args.dataset)
-    summary = ds_mod.win_summary(ds)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "wins_by_timestep.csv").write_text(summary.timestep_csv())
-    (out / "wins_by_benchmark.csv").write_text(summary.benchmark_csv())
-    print(f"win summaries -> {out}")
+    write_tables(ds_mod.win_tables(ds), args.out_dir)
+    print(f"win summaries -> {Path(args.out_dir)}")
     return 0
 
 

@@ -137,6 +137,8 @@ def build_dataset(
     the instance and computing them is recorded in ``feature_seconds``:
     the preparation ``solve`` charges before it predicts.
     """
+    if not solver_order:
+        raise ValueError("the portfolio has no solvers")
     grid = archive.grid
     ids: list[str] = []
     benches: list[str] = []
@@ -209,37 +211,18 @@ def split_by_benchmark(
     return replace(ds, split=split)
 
 
-@dataclass
-class WinSummary:
-    labels: list[str]
-    by_timestep: dict[str, list[int]]  # label -> per-timestep win counts
-    by_benchmark: dict[str, dict[str, int]]  # benchmark -> label -> wins
-
-    def timestep_csv(self) -> str:
-        lines = ["timestep," + ",".join(self.labels)]
-        count = len(next(iter(self.by_timestep.values())))
-        for j in range(count):
-            lines.append(f"{j}," + ",".join(str(self.by_timestep[l][j]) for l in self.labels))
-        return "\n".join(lines) + "\n"
-
-    def benchmark_csv(self) -> str:
-        lines = ["benchmark," + ",".join(self.labels)]
-        for bench in sorted(self.by_benchmark):
-            counts = self.by_benchmark[bench]
-            lines.append(bench + "," + ",".join(str(counts.get(l, 0)) for l in self.labels))
-        return "\n".join(lines) + "\n"
-
-
-def win_summary(ds: LabeledDataset) -> WinSummary:
+def win_tables(ds: LabeledDataset) -> dict[str, tuple[list[str], list]]:
+    """Each label's wins per grid index and per benchmark, as the
+    ``(header, rows)`` tables ``wins_by_timestep`` and ``wins_by_benchmark``."""
     labels = ds.vocabulary()
-    by_timestep = {l: (ds.labels == k).sum(axis=0).tolist() for k, l in enumerate(labels)}
-    totals: dict[str, np.ndarray] = {}
-    for bench, row in zip(ds.benchmark_ids, ds.labels):
-        totals[bench] = totals.get(bench, 0) + np.bincount(row, minlength=len(labels))
-    by_benchmark = {
-        bench: {l: int(n) for l, n in zip(labels, counts) if n} for bench, counts in totals.items()
+    wins = ds.labels[:, :, None] == np.arange(len(labels))  # (instance, timestep, label)
+    benches = np.array(ds.benchmark_ids, dtype=object)
+    return {
+        "wins_by_timestep": (["timestep", *labels], [[j, *n] for j, n in enumerate(wins.sum(axis=0).tolist())]),
+        "wins_by_benchmark": (["benchmark", *labels], [
+            [b, *wins[benches == b].sum(axis=(0, 1)).tolist()] for b in sorted(set(ds.benchmark_ids))
+        ]),
     }
-    return WinSummary(labels=labels, by_timestep=by_timestep, by_benchmark=by_benchmark)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TEST, LabeledDataset
+from .dataset import NO_SOLUTION, TEST, LabeledDataset
 from .grid import TimestepGrid
 from .runner import RunArchive, Trajectory, held_ranks
 
@@ -152,7 +152,6 @@ def pick_sbs(ctx: EvalContext, sbs: str = "auto") -> tuple[str, dict[str, float]
 @dataclass
 class EvalReport:
     solver_order: list[str]
-    vocabulary: list[str]
     n_pairs: int
     n_rows: int
     m_s: dict[str, float]
@@ -188,23 +187,17 @@ class EvalReport:
             )
         return "\n".join(lines) + "\n"
 
-    def confusion_csv(self) -> str:
-        lines = ["true\\predicted," + ",".join(self.vocabulary)]
-        for i, label in enumerate(self.vocabulary):
-            lines.append(label + "," + ",".join(str(int(v)) for v in self.confusion[i]))
-        return "\n".join(lines) + "\n"
-
-    def per_timestep_csv(self) -> str:
-        lines = ["timestep,m_hat,m_hat_overhead"]
-        for j, *ratios in self.per_timestep:
-            lines.append(f"{j}," + ",".join("" if r is None else repr(r) for r in ratios))
-        return "\n".join(lines) + "\n"
-
-    def breakdown_csv(self) -> str:
-        lines = ["policy,best,non_best,none"]
-        for policy, c in self.breakdown.items():
-            lines.append(f"{policy},{c['best']},{c['non_best']},{c['none']}")
-        return "\n".join(lines) + "\n"
+    def tables(self) -> dict[str, tuple[list[str], list]]:
+        """The report's ``(header, rows)`` tables keyed by file stem, which ``pbselect evaluate
+        --out-dir`` writes as ``confusion.csv``, ``m_hat_timesteps.csv`` and ``breakdown.csv``."""
+        vocab = [*self.solver_order, NO_SOLUTION]
+        return {
+            "confusion": (["true\\predicted", *vocab],
+                          [[label, *counts] for label, counts in zip(vocab, self.confusion.tolist())]),
+            "m_hat_timesteps": (["timestep", "m_hat", "m_hat_overhead"], self.per_timestep),
+            "breakdown": (["policy", "best", "non_best", "none"],
+                          [[policy, *counts.values()] for policy, counts in self.breakdown.items()]),
+        }
 
 
 def _per_timestep_series(
@@ -249,8 +242,7 @@ def evaluate_selector(
 
     predicted = model.predict_batch(X)
     labels = predicted.reshape(len(ctx.instance_ids), ds.grid.count)
-    vocab = ds.vocabulary()
-    k = len(vocab)
+    k = len(ds.vocabulary())
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (truth, predicted), 1)
     accuracy = float((truth == predicted).sum() / len(truth))
@@ -283,7 +275,6 @@ def evaluate_selector(
 
     return EvalReport(
         solver_order=ds.solver_order,
-        vocabulary=vocab,
         n_pairs=int(evaluated.sum()),
         n_rows=len(truth),
         m_s=m_s,

@@ -78,11 +78,17 @@ def _unflatten(cls, stored: dict, prefix: str = ""):
     return cls(**kwargs)
 
 
-def _check_header(header: dict, path) -> None:
-    if header.get("format") != FORMAT_NAME:
+def _read_header(data: bytes, path) -> dict:
+    """The JSON object in ``data``, if it is a header of this format and version."""
+    try:
+        header = json.loads(data)
+    except ValueError:  # not UTF-8 text, or not JSON
+        header = None
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError(f"{path} is not a {FORMAT_NAME} file")
     if (version := header.get("version")) != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {version} (expected {FORMAT_VERSION})")
+    return header
 
 
 @dataclass
@@ -145,12 +151,11 @@ class TrainedModel:
             archive = zipfile.ZipFile(path)
         except zipfile.BadZipFile:
             # formats 1 and 2 were one JSON document: read it to name its version
-            _check_header(json.loads(Path(path).read_bytes()), path)
+            _read_header(Path(path).read_bytes(), path)
             raise ValueError(f"{path} is not a zip archive") from None
         with archive:
             names = archive.namelist()
-            header = json.loads(archive.read(HEADER)) if HEADER in names else {}
-            _check_header(header, path)
+            header = _read_header(archive.read(HEADER) if HEADER in names else b"", path)
             stored = dict(header["model"])
             for name in names:
                 if name != HEADER:

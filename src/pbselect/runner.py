@@ -110,6 +110,8 @@ class PortfolioConfig:
 
     def __post_init__(self):
         ids = [a.solver_id for a in self.adapters]
+        if not ids:
+            raise ValueError("the portfolio has no solvers")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate solver ids in portfolio")
 
@@ -399,8 +401,12 @@ class RunArchive:
         """Add an instance to the manifest; registering it again is a no-op.
 
         Raises ValueError when the id is already registered to another
-        (benchmark, path): both would run and overwrite one trajectory.
+        (benchmark, path), as both would overwrite one trajectory, or when a
+        field holds a tab, newline or carriage return, which ends its line.
         """
+        for value in (instance_id, benchmark_id, path):
+            if any(c in value for c in "\t\n\r"):
+                raise ValueError(f"cannot register {value!r}: it holds a tab, newline or carriage return")
         with self._lock:
             known = self._manifest.get(instance_id)
             if known == (benchmark_id, path):

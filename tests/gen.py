@@ -113,8 +113,11 @@ def synthetic_instance_text(f1: int, f2: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def synthetic_corpus(root, rng: random.Random, n_instances: int, grid, noise=0.05):
-    """Write OPB files plus a fully synthetic archive; returns the archive."""
+def synthetic_corpus(root, rng: random.Random, n_instances: int, grid, noise=0.05,
+                     solvers=SOLVERS4, benchmarks=tuple(f"bench{k}" for k in range(10))):
+    """Write OPB files plus a fully synthetic archive; returns the archive.
+    Instance i belongs to ``benchmarks[i % len(benchmarks)]``; ``solvers``
+    names the four solvers."""
     from pathlib import Path
 
     from pbselect.runner import RunArchive, instance_id_for
@@ -128,7 +131,7 @@ def synthetic_corpus(root, rng: random.Random, n_instances: int, grid, noise=0.0
         f1 = rng.randint(5, 60)
         f2 = rng.randint(5, 60)
         quadrant = (f1 > 32) * 2 + (f2 > 32)
-        bench = f"bench{i % 10}"
+        bench = benchmarks[i % len(benchmarks)]
         path = root / "instances" / bench / f"i{i:04d}.opb"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(synthetic_instance_text(f1, f2))
@@ -137,11 +140,11 @@ def synthetic_corpus(root, rng: random.Random, n_instances: int, grid, noise=0.0
 
         winners = {}
         for r in (0, 1, 2):
-            w = SOLVERS4[(quadrant + r) % 4]
+            w = solvers[(quadrant + r) % 4]
             if rng.random() < noise:
-                w = rng.choice([s for s in SOLVERS4 if s != w])
+                w = rng.choice([s for s in solvers if s != w])
             winners[r] = w
-        for sid in SOLVERS4:
+        for sid in solvers:
             events = []
             value = None
             for r in (0, 1, 2):

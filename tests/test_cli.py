@@ -1,26 +1,47 @@
+import csv
+import io
 import json
+import logging
 import math
 import random
 
 import pytest
 
 from pbselect.cli import main
-from pbselect.dataset import NO_SOLUTION, read_csv, win_summary
+from pbselect.dataset import NO_SOLUTION, read_csv, win_tables, write_csv
+from pbselect.eval import evaluate_selector
 from pbselect.grid import make_grid
+from pbselect.learners import TrainedModel
 from pbselect.metaselect import BUDGET_EXHAUSTED, NO_SOLUTION_PREDICTED, OK, SOLVER_FAILED
+from pbselect.runner import RunArchive
 
-from gen import SOLVERS4, synthetic_corpus
+from gen import SOLVERS4, synthetic_corpus, synthetic_instance_text
 from test_metaselect import fixed_model
 
 
-def test_offline_pipeline_through_the_cli(tmp_path, capsys):
-    archive = synthetic_corpus(tmp_path, random.Random(3), 30, make_grid(9, 100.0, 1.0))
+def _cells(table):
+    """A ``(header, rows)`` table as the strings its CSV holds."""
+    header, rows = table
+    return [list(header)] + [["" if cell is None else str(cell) for cell in row] for row in rows]
+
+
+def _read_back(text):
+    """The cells of CSV ``text``, read as ``csv.reader`` reads a file opened with ``newline=""``."""
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def _offline_pipeline(tmp_path, solvers=SOLVERS4, **corpus):
+    """Build, split, train (knn), evaluate and summarize a 30-instance
+    corpus through ``main``; returns its archive, dataset path, model path
+    and output directory."""
+    grid = make_grid(9, 100.0, 1.0)
+    archive = synthetic_corpus(tmp_path, random.Random(3), 30, grid, solvers=solvers, **corpus)
     portfolio = tmp_path / "portfolio.json"
-    portfolio.write_text(json.dumps({"solvers": [{"id": s, "command": "true"} for s in SOLVERS4]}))
-    data, model, out = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "out"
-    common = ["--portfolio", str(portfolio)]
+    portfolio.write_text(json.dumps({"solvers": [{"id": s, "command": "true"} for s in solvers]}))
+    data, model, out = tmp_path / "data.csv", tmp_path / "model.zip", tmp_path / "out"
     steps = [
-        ["build-dataset", "--archive", str(archive.root), "--schema", "basic", "--out", str(data)] + common,
+        ["build-dataset", "--archive", str(archive.root), "--schema", "basic", "--out", str(data),
+         "--portfolio", str(portfolio)],
         ["split", "--dataset", str(data), "--seed", "4", "--train-fraction", "0.5"],
         ["train", "--dataset", str(data), "--family", "knn", "--out", str(model)],
         ["evaluate", "--model", str(model), "--dataset", str(data), "--archive", str(archive.root),
@@ -29,15 +50,86 @@ def test_offline_pipeline_through_the_cli(tmp_path, capsys):
     ]
     for argv in steps:
         assert main(argv) == 0, argv
+    return archive, data, model, out
+
+
+def _check_report_files(archive, data, model, out):
+    """Every CSV file of ``evaluate`` and ``summary`` reads back as its
+    table, but for the timed m_hat_overhead column."""
+    ds = read_csv(data)
+    for stem, table in win_tables(ds).items():
+        assert _read_back((out / "summary" / f"{stem}.csv").read_bytes().decode()) == _cells(table), stem
+    for stem, table in evaluate_selector(TrainedModel.load(model), ds, archive).tables().items():
+        got, want = _read_back((out / "eval" / f"{stem}.csv").read_bytes().decode()), _cells(table)
+        if stem == "m_hat_timesteps":
+            assert {len(row) for row in got} == {3}
+            got, want = [row[:2] for row in got], [row[:2] for row in want]
+        assert got == want, stem
+
+
+def test_offline_pipeline_through_the_cli(tmp_path, capsys):
+    archive, data, model, out = _offline_pipeline(tmp_path)
     printed = capsys.readouterr().out
     assert "270 rows, 0 instances skipped" in printed
     assert "m_hat (overhead)" in printed
+    _check_report_files(archive, data, model, out)
+    assert (out / "summary" / "wins_by_benchmark.csv").read_text().startswith(
+        "benchmark,s0,s1,s2,s3,NO_SOLUTION\nbench0,"
+    )
+    assert (out / "eval" / "breakdown.csv").read_text().startswith("policy,best,non_best,none\nsbs:")
 
-    summary = win_summary(read_csv(data))
-    assert (out / "summary" / "wins_by_timestep.csv").read_text() == summary.timestep_csv()
-    assert (out / "summary" / "wins_by_benchmark.csv").read_text() == summary.benchmark_csv()
-    for name in ("confusion.csv", "m_hat_timesteps.csv", "breakdown.csv"):
-        assert (out / "eval" / name).read_text().startswith(("true", "timestep", "policy"))
+
+ODD = (",", '"', "\n", "\r")  # each breaks a CSV line written without quoting
+
+
+def test_tables_quote_commas_quotes_and_line_breaks(tmp_path, capsys):
+    solvers = [f"s{c}{k}" for k, c in enumerate(ODD)]
+    archive, data, model, out = _offline_pipeline(tmp_path, solvers, benchmarks=("b,0", 'b"1'))
+    # the run archive records no line break in a benchmark id, a dataset can hold one
+    ds = read_csv(data)
+    ds.benchmark_ids = [b if i % 3 else f"b{ODD[2 + i % 2]}{2 + i % 2}" for i, b in enumerate(ds.benchmark_ids)]
+    assert set(ds.benchmark_ids) == {"b,0", 'b"1', "b\n2", "b\r3"}
+    write_csv(ds, data)
+    assert main(["summary", "--dataset", str(data), "--out-dir", str(out / "summary")]) == 0
+    _check_report_files(archive, data, model, out)
+
+    paths = []
+    for k, c in enumerate(ODD):
+        paths.append(tmp_path / f"dir{c}{k}" / f"i{c}{k}.opb")
+        paths[-1].parent.mkdir()
+        paths[-1].write_text(synthetic_instance_text(5 + k, 7))
+    capsys.readouterr()
+    assert main(["features", *map(str, paths), "--schema", "basic"]) == 0
+    assert _read_back(capsys.readouterr().out) == [["instance", "n_constraints", "n_variables"]] + [
+        [str(path), f"{5.0 + k}", "7.0"] for k, path in enumerate(paths)
+    ]
+
+
+def test_run_portfolio_through_the_cli(tmp_path, opb_file, capsys, caplog):
+    other = opb_file.with_name("other.opb")
+    other.write_text(opb_file.read_text())
+    portfolio = tmp_path / "portfolio.json"
+    solvers = [{"id": sid, "command": ["sh", "-c", f"echo o {value}"]} for sid, value in (("a", 5), ("b", 3))]
+    portfolio.write_text(json.dumps({"solvers": solvers}))
+    argv = ["run-portfolio", str(opb_file.parent), "--grid-count", "3", "--horizon", "2", "--t-min", "0.5",
+            "--portfolio", str(portfolio)]
+    assert main(argv + ["--archive", str(tmp_path / "ok")]) == 0
+    assert capsys.readouterr().out == f"archive {tmp_path / 'ok'}: 2 instances recorded\n"
+    archive = RunArchive(tmp_path / "ok")
+    assert all(archive.has(iid, sid) for iid, _, _ in archive.instances() for sid in "ab")
+    assert archive.failures() == []
+
+    solvers[1] = {"id": "ghost", "command": ["/nonexistent/solver", "{instance}"]}
+    portfolio.write_text(json.dumps({"solvers": solvers}))
+    with caplog.at_level(logging.ERROR):
+        assert main(argv + ["--archive", str(tmp_path / "failed")]) == 1
+    assert capsys.readouterr().out == f"archive {tmp_path / 'failed'}: 2 instances recorded\n"
+    archive = RunArchive(tmp_path / "failed")
+    failures = archive.failures()
+    assert [(iid, sid) for iid, sid, _ in failures] == [(iid, "ghost") for iid, _, _ in archive.instances()]
+    assert all(archive.has(iid, "a") for iid, _, _ in archive.instances())
+    for iid, _, _ in archive.instances():
+        assert any(f"({iid}, ghost)" in r.getMessage() for r in caplog.records if r.levelno == logging.ERROR)
 
 
 def test_parse_prints_canonical_text_or_checks_only(opb_file, capsys):

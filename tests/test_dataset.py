@@ -12,7 +12,7 @@ from pbselect.dataset import (
     build_dataset,
     read_csv,
     split_by_benchmark,
-    win_summary,
+    win_tables,
     winner_labels,
     write_csv,
 )
@@ -260,21 +260,28 @@ def test_win_summary_counts(tmp_path):
     events = {(iid, "A"): [(0.5, 10), (500.0, 2)], (iid, "B"): [(2.0, 8)]}
     archive = _synthetic_archive(tmp_path, grid, events, [(iid, "b0", p)])
     ds = build_dataset(archive, "basic", ["A", "B"])
-    summary = win_summary(ds)
-    assert summary.by_timestep["A"] == [1, 0, 0, 1]
-    assert summary.by_timestep["B"] == [0, 1, 1, 0]
-    assert summary.by_benchmark["b0"] == {"A": 2, "B": 2}
-    csv_text = summary.timestep_csv()
-    assert csv_text.splitlines()[0] == "timestep,A,B,NO_SOLUTION"
+    assert win_tables(ds) == {
+        "wins_by_timestep": (
+            ["timestep", "A", "B", NO_SOLUTION], [[0, 1, 0, 0], [1, 0, 1, 0], [2, 0, 1, 0], [3, 1, 0, 0]]
+        ),
+        "wins_by_benchmark": (["benchmark", "A", "B", NO_SOLUTION], [["b0", 2, 2, 0]]),
+    }
+
+
+def test_build_dataset_rejects_an_empty_portfolio(tmp_path):
+    archive = _synthetic_archive(tmp_path, make_grid(3, 10.0, 1.0), {}, [])
+    with pytest.raises(ValueError, match="portfolio has no solvers"):
+        build_dataset(archive, "basic", [])
 
 
 def test_win_summary_empty_dataset(tmp_path):
     grid = make_grid(3, 10.0, 1.0)
     archive = _synthetic_archive(tmp_path, grid, {}, [])
     ds = build_dataset(archive, "basic", ["A"])
-    summary = win_summary(ds)
-    assert summary.by_benchmark == {}
-    assert sum(summary.by_timestep["A"]) == 0
+    assert win_tables(ds) == {
+        "wins_by_timestep": (["timestep", "A", NO_SOLUTION], [[0, 0, 0], [1, 0, 0], [2, 0, 0]]),
+        "wins_by_benchmark": (["benchmark", "A", NO_SOLUTION], []),
+    }
 
 
 def _mixed_dataset(tmp_path, encoding):

@@ -392,22 +392,23 @@ def _check_report(report, want, vocab):
     assert _close(report.m_hat_overhead, want["m_hat_overhead"])
     assert report.n_pairs == want["n_pairs"]
 
-    lines = report.per_timestep_csv().splitlines()
-    assert lines[0] == "timestep,m_hat,m_hat_overhead"
-    assert len(lines) == len(want["series"]) + 1
-    for line, (j, plain, ov) in zip(lines[1:], want["series"]):
-        cells = line.split(",")
-        assert int(cells[0]) == j
-        for cell, exact in zip(cells[1:], (plain, ov)):
-            assert (cell == "") if exact is None else _close(float(cell), exact)
+    tables = report.tables()
+    assert list(tables) == ["confusion", "m_hat_timesteps", "breakdown"]
+    header, rows = tables["m_hat_timesteps"]
+    assert header == ["timestep", "m_hat", "m_hat_overhead"]
+    assert len(rows) == len(want["series"])
+    for (j, *ratios), (want_j, plain, ov) in zip(rows, want["series"]):
+        assert j == want_j
+        for ratio, exact in zip(ratios, (plain, ov)):
+            assert (ratio is None) if exact is None else _close(ratio, exact)
 
-    rows = ["policy,best,non_best,none"]
-    rows += [f"{policy},{b},{nb},{n}" for policy, (b, nb, n) in want["breakdown"].items()]
-    assert report.breakdown_csv() == "\n".join(rows) + "\n"
-
-    rows = ["true\\predicted," + ",".join(vocab)]
-    rows += [label + "," + ",".join(map(str, counts)) for label, counts in zip(vocab, want["confusion"])]
-    assert report.confusion_csv() == "\n".join(rows) + "\n"
+    assert tables["breakdown"] == (
+        ["policy", "best", "non_best", "none"],
+        [[policy, *counts] for policy, counts in want["breakdown"].items()],
+    )
+    assert tables["confusion"] == (
+        ["true\\predicted", *vocab], [[label, *counts] for label, counts in zip(vocab, want["confusion"])]
+    )
     total = sum(map(sum, want["confusion"]))
     assert report.n_rows == total
     hits = sum(want["confusion"][k][k] for k in range(len(vocab)))

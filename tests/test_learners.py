@@ -1,7 +1,9 @@
 import json
+import random
 import time
 import tracemalloc
 import zipfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,20 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbselect.dataset import NO_SOLUTION
+from pbselect.dataset import NO_SOLUTION, TRAIN, build_dataset, split_by_benchmark
 from pbselect.features import encode_timestep, extract_basic, extract_nonlinear, feature_names
 from pbselect.grid import make_grid
-from pbselect.learners import TrainedModel
+from pbselect.learners import INVERSE_FREQUENCY, TrainedModel, train_model
 from pbselect.learners.boosting import SingleClassError, fit_gradient_boosting
 from pbselect.learners.forest import ForestModel, fit_random_forest, tree_rng
 from pbselect.learners.knn import KnnModel, fit_knn
-from pbselect.learners.model_io import SchemaMismatchError, mdi_importance
+from pbselect.learners.model_io import SchemaMismatchError, _flatten, mdi_importance
 from pbselect.learners.train import hyperparams_for
 from pbselect.learners import tree as tree_mod
 from pbselect.learners.tree import EnsembleBuilder, Gini, Sse, TreeEnsemble
 from pbselect.learners.weights import class_weights
 from pbselect.opb import parse_opb
 
+from gen import SOLVERS4, synthetic_corpus
 from oracles import OracleTrees, oracle_boosting, oracle_forest, oracle_gini_impurity, oracle_sse_node
 
 
@@ -666,6 +669,26 @@ def test_trained_model_version_check(tmp_path):
         TrainedModel.load(path)
 
 
+@pytest.mark.parametrize("zipped", [False, True], ids=["whole-file", "zip-header"])
+@pytest.mark.parametrize("content", [b"\x80\x81 not UTF-8", b"plain text", b'["a", "JSON", "list"]'],
+                         ids=["binary", "text", "json-list"])
+def test_load_rejects_a_file_that_is_not_a_model(content, zipped, tmp_path, capsys):
+    from pbselect.cli import main
+
+    path = tmp_path / "model.zip"
+    if zipped:  # the same bytes as the header member of a zip archive
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("header.json", content)
+    else:
+        path.write_bytes(content)
+    message = f"{path} is not a pbselect-model file"
+    with pytest.raises(ValueError) as info:
+        TrainedModel.load(path)
+    assert str(info.value) == message
+    assert main(["importance", "--model", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "detail": message}
+
+
 def test_importance_command_prints_mdi_table(tmp_path, capsys):
     from pbselect.cli import main
 
@@ -691,3 +714,37 @@ def test_hyperparameter_table():
     assert hyperparams_for("knn", "linear")["n_neighbors"] == 21
     with pytest.raises(ValueError):
         hyperparams_for("rf", "mystery")
+
+
+def test_train_without_no_solution_rows(tmp_path):
+    grid = make_grid(9, 100.0, 1.0)
+    archive = synthetic_corpus(tmp_path, random.Random(5), 20, grid)
+    # every instance's first events move to the second grid point, so no
+    # solver holds anything at the first one
+    for iid, _, _ in archive.instances():
+        for sid in SOLVERS4:
+            traj = archive.read_trajectory(iid, sid)
+            events = tuple((max(t, grid.points[1]), v) for t, v in traj.events)
+            archive.write_trajectory(replace(traj, events=events))
+    ds = split_by_benchmark(build_dataset(archive, "basic", SOLVERS4), seed=0, train_fraction=0.5)
+    X, y = ds.matrix(TRAIN)
+    none = ds.vocabulary().index(NO_SOLUTION)
+    keep = y != none
+    assert 0 < (~keep).sum() < len(y)
+
+    rf = train_model(ds, "rf", seed=3, include_no_solution=False)
+    assert rf.params["include_no_solution"] is False
+    direct = fit_random_forest(
+        X[keep], y[keep], none + 1, **hyperparams_for("rf", "basic"), seed=3,
+        class_weight=class_weights(y[keep], INVERSE_FREQUENCY, none + 1),
+    )
+    got, want = dict(_flatten(rf.model)), dict(_flatten(direct))
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name
+
+    knn = train_model(ds, "knn", include_no_solution=False)
+    all_rows, labels = ds.matrix(None)
+    assert (labels == none).any()
+    for model in (rf, knn):
+        assert (model.predict_batch(all_rows) != none).all(), model.family

@@ -403,6 +403,15 @@ def test_duplicate_solver_ids_rejected():
         PortfolioConfig(adapters=[SolverAdapter("x", "a"), SolverAdapter("x", "b")])
 
 
+def test_empty_portfolio_rejected(tmp_path):
+    with pytest.raises(ValueError, match="portfolio has no solvers"):
+        PortfolioConfig(adapters=[])
+    cfg = tmp_path / "portfolio.json"
+    cfg.write_text(json.dumps({"solvers": []}))
+    with pytest.raises(ValueError, match="portfolio has no solvers"):
+        PortfolioConfig.load(cfg)
+
+
 def test_instance_id_sanitized():
     assert instance_id_for("/data/set one/foo bar.opb", "set one") == "set_one__foo_bar"
 
@@ -532,6 +541,26 @@ def test_instance_id_collision_is_rejected(stub_solver, tmp_path):
     with pytest.raises(ValueError, match="b0__i"):
         run_portfolio(_portfolio(stub_solver), paths, grid, tmp_path / "arch")
     assert list((tmp_path / "arch").glob("*/*")) == []  # no job was launched
+
+
+@pytest.mark.parametrize("name", ["tab\tdir", "nl\ndir", "cr\rdir"])
+def test_benchmark_or_path_that_would_break_the_manifest_is_rejected(name, stub_solver, tmp_path):
+    grid = make_grid(2, 1.0, 0.2)
+    paths = []
+    for bench in ("a", name, "z"):
+        paths.append(tmp_path / bench / "i.opb")
+        paths[-1].parent.mkdir()
+        paths[-1].write_text("* #variable= 1 #constraint= 1\nmin: +1 x1 ;\n+1 x1 >= 0 ;\n")
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        run_portfolio(_portfolio(stub_solver), paths, grid, tmp_path / "arch")
+    assert list((tmp_path / "arch").glob("*/*")) == []  # no job was launched
+    registered = RunArchive(tmp_path / "arch").instances()
+    assert registered == [(instance_id_for(paths[0], "a"), "a", str(paths[0]))]
+
+    archive = RunArchive(tmp_path / "arch")
+    with pytest.raises(ValueError, match=re.escape(repr(f"x/{name}.opb"))):
+        archive.register_instance("b__x", "b", f"x/{name}.opb")
+    assert RunArchive(tmp_path / "arch").instances() == registered
 
 
 def test_registering_the_same_instance_again_is_a_no_op(tmp_path):
