@@ -1,27 +1,29 @@
 """Trained-model container with schema checks and versioned persistence.
 
-A model file (format 3) is a zip archive: one ``.npy`` member per numpy
-array of the model, named after its dataclass field (``trees.`` prefixes
-the :class:`TreeEnsemble` fields) and read with ``allow_pickle=False``,
-and ``header.json`` with the rest: format name and version, family,
-feature schema, timestep encoding, label vocabulary, hyperparameters (with
-the timestep grid), seed and the model's other fields.  Fields computed
-from others (``init=False``) and the MDI importances, which come from the
-trees, are not stored; the loader reads only the keys it knows.  Another
-format name or version is rejected; formats 1 and 2 were one JSON
-document, read only to name its version, so their models must be trained
-again.  Members carry a fixed timestamp, so two fits with the same seed
-write byte-identical files.
+A model file (format 4) is a header line of JSON, then the raw C-order
+bytes of each numpy array of the model, each 8-byte aligned.  The header
+holds the format name and version, family, feature schema, timestep
+encoding, label vocabulary, hyperparameters (with the timestep grid),
+seed, the model's other fields under ``model``, and under ``arrays`` the
+``[dtype, shape, offset]`` of each array by dataclass field (``trees.``
+prefixes the :class:`TreeEnsemble` fields), offsets counted from the end
+of the header line.  A loaded model's arrays are read-only views of the
+file's bytes.  Fields computed from others (``init=False``) and the MDI
+importances, which come from the trees, are not stored; the loader reads
+only the keys it knows.  Another format name or version is rejected;
+formats 1 and 2 (one JSON document) and 3 (a zip archive) are read only to
+name their version, so their models must be trained again.  Two fits with
+the same seed write byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import json
+import math
+import re
 import typing
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,10 +35,11 @@ from .forest import ForestModel
 from .knn import KnnModel
 
 FORMAT_NAME = "pbselect-model"
-FORMAT_VERSION = 3
-HEADER = "header.json"
+FORMAT_VERSION = 4
 _HEADER_FIELDS = ("family", "schema", "encoding", "vocabulary", "params", "seed")
-_MEMBER_TIME = (1980, 1, 1, 0, 0, 0)  # np.savez would stamp the current time
+_ALIGN = 8
+# format 3 was a zip archive whose first member, stored as is, held its JSON header
+_ZIP_HEADER_RE = re.compile(rb'PK\x03\x04.{26}header\.json\{"format": "pbselect-model", "version": (\d+)', re.S)
 
 RF = "rf"
 GB = "gb"
@@ -78,17 +81,38 @@ def _unflatten(cls, stored: dict, prefix: str = ""):
     return cls(**kwargs)
 
 
-def _read_header(data: bytes, path) -> dict:
-    """The JSON object in ``data``, if it is a header of this format and version."""
+def _read_header(line: bytes, data: bytes, path) -> dict:
+    """The header on ``line``, the first line of ``data``, if of this format and version."""
     try:
-        header = json.loads(data)
-    except ValueError:  # not UTF-8 text, or not JSON
-        header = None
+        header = json.loads(line)
+    except ValueError:  # not UTF-8 text, or not JSON: perhaps a format-3 zip archive
+        old = _ZIP_HEADER_RE.match(data)
+        header = old and {"format": FORMAT_NAME, "version": int(old[1])}
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError(f"{path} is not a {FORMAT_NAME} file")
     if (version := header.get("version")) != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {version} (expected {FORMAT_VERSION})")
     return header
+
+
+def _views(data: bytes, start: int, arrays: dict, path) -> dict:
+    """Read-only views of the arrays that ``arrays`` lays out from ``start`` on."""
+    views, end = {}, start
+    for name, (dtype, shape, offset) in arrays.items():
+        try:
+            dtype = np.dtype(dtype)
+        except TypeError:
+            raise ValueError(f"{path}: array {name} has no dtype {dtype!r}") from None
+        if dtype.kind not in "biuf" or not all(type(n) is int and n >= 0 for n in [*shape, offset]):
+            raise ValueError(f"{path}: array {name} has dtype {dtype.str}, shape {shape} and offset {offset}")
+        count = math.prod(shape)
+        if (stop := start + offset + count * dtype.itemsize) > len(data):
+            raise ValueError(f"{path}: array {name} runs past the end of the file")
+        views[name] = np.frombuffer(data, dtype, count, start + offset).reshape(shape)
+        end = max(end, stop)
+    if end != len(data):
+        raise ValueError(f"{path}: {len(data) - end} bytes follow the last array")
+    return views
 
 
 @dataclass
@@ -131,36 +155,27 @@ class TrainedModel:
         return np.argmax(self.model.predict_proba(X), axis=1)
 
     def save(self, path: str | Path) -> None:
-        members, rest = {}, {}
+        arrays, rest, chunks, size = {}, {}, [], 0
         for name, value in _flatten(self.model):
             if isinstance(value, np.ndarray):
-                members[name + ".npy"] = buf = io.BytesIO()
-                np.save(buf, value, allow_pickle=False)
+                pad = -size % _ALIGN
+                arrays[name] = [value.dtype.str, list(value.shape), size + pad]
+                chunks += [bytes(pad), np.ascontiguousarray(value)]
+                size += pad + value.nbytes
             else:
                 rest[name] = value
-        header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-                  **{key: getattr(self, key) for key in _HEADER_FIELDS}, "model": rest}
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr(zipfile.ZipInfo(HEADER, date_time=_MEMBER_TIME), json.dumps(header))
-            for name, buf in members.items():
-                archive.writestr(zipfile.ZipInfo(name, date_time=_MEMBER_TIME), buf.getvalue())
+        header = json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                             **{key: getattr(self, key) for key in _HEADER_FIELDS},
+                             "model": rest, "arrays": arrays}).encode()
+        with open(path, "wb") as fh:  # the arrays' own buffers, not copies
+            fh.writelines([header, b" " * (-(len(header) + 1) % _ALIGN) + b"\n", *chunks])
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        try:
-            archive = zipfile.ZipFile(path)
-        except zipfile.BadZipFile:
-            # formats 1 and 2 were one JSON document: read it to name its version
-            _read_header(Path(path).read_bytes(), path)
-            raise ValueError(f"{path} is not a zip archive") from None
-        with archive:
-            names = archive.namelist()
-            header = _read_header(archive.read(HEADER) if HEADER in names else b"", path)
-            stored = dict(header["model"])
-            for name in names:
-                if name != HEADER:
-                    data = io.BytesIO(archive.read(name))
-                    stored[name.removesuffix(".npy")] = np.load(data, allow_pickle=False)
+        data = Path(path).read_bytes()
+        line = data.partition(b"\n")[0]
+        header = _read_header(line, data, path)
+        stored = {**header["model"], **_views(data, len(line) + 1, header["arrays"], path)}
         if header["family"] not in _MODEL_TYPES:
             raise ValueError(f"unknown model family {header['family']!r}")
         model = _unflatten(_MODEL_TYPES[header["family"]], stored)

@@ -13,10 +13,11 @@ among the instance's distinct event values, and since when.
 
 A run archive is a directory with one subdirectory per instance holding a
 ``<solver>.traj`` file (metadata line, event lines, sampled line) and the
-raw timestamped stdout capture in ``<solver>.log``; parsing the raw log
-reproduces the recorded events exactly.  The sampled line is written from
-the events for other tools to read; reading a file checks only its width,
-and every sample comes from the events.
+raw timestamped stdout capture in ``<solver>.log``, ``<solver>`` being the
+whole id with each run of characters outside ``[A-Za-z0-9._-]`` as ``_``;
+parsing the raw log reproduces the recorded events exactly.  The sampled
+line is written from the events for other tools to read; reading a file
+checks only its width, and every sample comes from the events.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ class PortfolioConfig:
             raise ValueError("the portfolio has no solvers")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate solver ids in portfolio")
+        names: dict[str, str] = {}  # archive file name -> solver id
+        for sid in ids:
+            if sid in ("", ".", ".."):
+                raise ValueError(f"solver id {sid!r} cannot name an archive file")
+            if names.setdefault(name := _UNSAFE_RE.sub("_", sid), sid) != sid:
+                raise ValueError(f"solver ids {names[name]!r} and {sid!r} share the archive file name {name!r}")
 
     @property
     def solver_ids(self) -> list[str]:
@@ -232,9 +239,11 @@ def run_adapter(
     The child runs in a new session, so its process group holds everything
     it starts.  The group gets ``budget`` seconds from spawn; whatever of it
     still runs or holds standard output then gets SIGTERM and, once standard
-    output is closed or one second has passed, SIGKILL.  Returns the
-    captured lines and a status: "killed" when the budget kill fired,
-    otherwise "ok" for exit code 0 and "crashed" for any other.
+    output is closed or one second has passed, SIGKILL.  A reader thread
+    reads standard output to its end, then reaps the child; the caller waits
+    for that thread alone.  Returns the captured lines and a status:
+    "killed" when the budget kill fired, otherwise "ok" for exit code 0 and
+    "crashed" for any other.
     """
     argv = adapter.argv(str(instance_path), budget)
     try:
@@ -256,22 +265,18 @@ def run_adapter(
         assert proc.stdout is not None
         for raw in proc.stdout:
             lines.append((round(time.monotonic() - start, 6), raw.rstrip("\r\n")))
+        proc.wait()  # blocks in waitpid; Popen.wait(timeout) would poll with sleeps
 
     reader = threading.Thread(target=_pump, daemon=True)
     reader.start()
-    try:
-        proc.wait(timeout=budget)
-    except subprocess.TimeoutExpired:
-        pass
     # stdout stays open while any process of the group holds it, so a
     # grandchild can keep the reader going after the child has exited
     reader.join(timeout=max(0.0, start + budget - time.monotonic()))
-    killed = reader.is_alive() or proc.poll() is None
+    killed = reader.is_alive()
     if killed:
         _signal_group(proc.pid, signal.SIGTERM)
         reader.join(timeout=_KILL_GRACE)
         _signal_group(proc.pid, signal.SIGKILL)
-    proc.wait()
     reader.join()
     proc.stdout.close()
     return lines, "killed" if killed else "ok" if proc.returncode == 0 else "crashed"
@@ -394,8 +399,9 @@ class RunArchive:
                 logger.warning("dropping the unterminated last line of %s: %r", manifest, torn)
                 _write_atomic(manifest, "".join(line + "\n" for line in lines))
 
-    def _pair_base(self, instance_id: str, solver_id: str) -> Path:
-        return self.root / instance_id / _UNSAFE_RE.sub("_", solver_id)
+    def _pair_path(self, instance_id: str, solver_id: str, suffix: str = ".traj") -> Path:
+        # the suffix follows the whole name, which may hold dots of its own
+        return self.root / instance_id / (_UNSAFE_RE.sub("_", solver_id) + suffix)
 
     def register_instance(self, instance_id: str, benchmark_id: str, path: str) -> None:
         """Add an instance to the manifest; registering it again is a no-op.
@@ -426,19 +432,19 @@ class RunArchive:
         return [(iid, bench, path) for bench, iid, path in sorted(rows)]
 
     def has(self, instance_id: str, solver_id: str) -> bool:
-        return self._pair_base(instance_id, solver_id).with_suffix(".traj").exists()
+        return self._pair_path(instance_id, solver_id).exists()
 
     def write_trajectory(self, traj: Trajectory, raw_lines: list[tuple[float, str]] | None = None) -> None:
-        base = self._pair_base(traj.instance_id, traj.solver_id)
+        iid, sid = traj.instance_id, traj.solver_id
         with self._lock:
-            base.parent.mkdir(parents=True, exist_ok=True)
+            (self.root / iid).mkdir(parents=True, exist_ok=True)
             if raw_lines is not None:
-                _write_atomic(base.with_suffix(".log"), raw_log_to_text(raw_lines))
-            _write_atomic(base.with_suffix(".traj"), trajectory_to_text(traj, self.grid))
-            base.with_suffix(".error").unlink(missing_ok=True)
+                _write_atomic(self._pair_path(iid, sid, ".log"), raw_log_to_text(raw_lines))
+            _write_atomic(self._pair_path(iid, sid), trajectory_to_text(traj, self.grid))
+            self._pair_path(iid, sid, ".error").unlink(missing_ok=True)
 
     def read_trajectory(self, instance_id: str, solver_id: str) -> Trajectory:
-        text = self._pair_base(instance_id, solver_id).with_suffix(".traj").read_text()
+        text = self._pair_path(instance_id, solver_id).read_text()
         traj, meta = trajectory_from_text(text)
         if {key: meta.get(key) for key in ("count", "horizon", "t_min")} != self.grid.params():
             raise ValueError(
@@ -447,10 +453,10 @@ class RunArchive:
         return traj
 
     def record_failure(self, instance_id: str, solver_id: str, message: str) -> None:
-        base = self._pair_base(instance_id, solver_id)
+        path = self._pair_path(instance_id, solver_id, ".error")
         with self._lock:
-            base.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(base.with_suffix(".error"), message + "\n")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_atomic(path, message + "\n")
 
     def failures(self) -> list[tuple[str, str, str]]:
         out = []
@@ -489,7 +495,6 @@ def run_portfolio(
             traj, raw = run_solver(adapter, path, grid, instance_id=iid)
             archive.write_trajectory(traj, raw)
         except AdapterError as exc:
-            logger.error("pair (%s, %s) failed: %s", iid, adapter.solver_id, exc)
             archive.record_failure(iid, adapter.solver_id, str(exc))
 
     workers = parallelism if parallelism is not None else portfolio.parallelism

@@ -128,8 +128,9 @@ def test_run_portfolio_through_the_cli(tmp_path, opb_file, capsys, caplog):
     failures = archive.failures()
     assert [(iid, sid) for iid, sid, _ in failures] == [(iid, "ghost") for iid, _, _ in archive.instances()]
     assert all(archive.has(iid, "a") for iid, _, _ in archive.instances())
-    for iid, _, _ in archive.instances():
-        assert any(f"({iid}, ghost)" in r.getMessage() for r in caplog.records if r.levelno == logging.ERROR)
+    # one ERROR line per failed pair
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert sorted(errors) == sorted(f"failed pair ({iid}, ghost): {message}" for iid, _, message in failures)
 
 
 def test_parse_prints_canonical_text_or_checks_only(opb_file, capsys):

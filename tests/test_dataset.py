@@ -387,7 +387,7 @@ def test_held_ranks_match_bruteforce_scan(tmp_path):
     grid = make_grid(6, 50.0, 0.5)
     archive = RunArchive(tmp_path / "a", grid)
     for sid in ORDER:
-        archive._pair_base("i", sid).parent.mkdir(exist_ok=True)
+        archive._pair_path("i", sid).parent.mkdir(exist_ok=True)
     seen = dict.fromkeys(["unsampled", "after horizon", "empty", "shared value", "shared time"], 0)
     for case in range(300):
         events = {sid: _events_around_points(rng, grid) for sid in ORDER}
@@ -400,7 +400,7 @@ def test_held_ranks_match_bruteforce_scan(tmp_path):
                     "t_min": grid.t_min, "status": "ok"}
             lines = [json.dumps(meta), *(f"{t!r} {v}" for t, v in events[sid])]
             lines.append("sampled" + " NA" * grid.count)
-            archive._pair_base("i", sid).with_suffix(".traj").write_text("\n".join(lines) + "\n")
+            archive._pair_path("i", sid).write_text("\n".join(lines) + "\n")
         ranks, times, distinct = held_ranks([archive.read_trajectory("i", sid) for sid in ORDER], grid)
         assert distinct == sorted({v for per_solver in events.values() for _, v in per_solver})
         assert ranks.shape == times.shape == (grid.count, len(ORDER))

@@ -516,14 +516,14 @@ def _saved_bytes(tmp_path, family, model):
     return path.read_bytes()
 
 
+def _header(path):
+    return json.loads(path.read_bytes().partition(b"\n")[0])
+
+
 def _rewrite_header(path, **changes):
-    with zipfile.ZipFile(path) as archive:
-        members = {name: archive.read(name) for name in archive.namelist()}
-    header = json.loads(members["header.json"])
-    members["header.json"] = json.dumps({**header, **changes}).encode()
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, data in members.items():
-            archive.writestr(name, data)
+    # offsets count from the end of the header line, so the arrays stay valid
+    body = path.read_bytes().partition(b"\n")[2]
+    path.write_bytes(json.dumps({**_header(path), **changes}).encode() + b"\n" + body)
 
 
 def test_trained_model_save_load_roundtrip(tmp_path):
@@ -561,16 +561,26 @@ def test_predict_values_is_batch_row(family, monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["rf", "gb", "knn"])
-def test_format3_save_load_save_is_byte_identical(family, tmp_path, monkeypatch):
+def test_save_load_save_is_byte_identical(family, tmp_path, monkeypatch):
     tm = _trained(family, seed=3)
-    first, second = tmp_path / "a.zip", tmp_path / "b.zip"
+    first, second, third = tmp_path / "a.model", tmp_path / "b.model", tmp_path / "c.model"
     tm.save(first)
     again = TrainedModel.load(first)
-    monkeypatch.setattr(time, "time", lambda: 2e9)  # members keep their timestamp
+    monkeypatch.setattr(time, "time", lambda: 2e9)  # the file holds no timestamp
     again.save(second)
-    with zipfile.ZipFile(first) as archive:
-        assert json.loads(archive.read("header.json"))["version"] == 3
-    assert first.read_bytes() == second.read_bytes()
+    _trained(family, seed=3).save(third)  # a second fit
+    assert _header(first)["version"] == 4
+    assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+    # each loaded array is the fitted one, as a read-only view of the file
+    fitted, loaded = dict(_flatten(tm.model)), dict(_flatten(again.model))
+    assert fitted.keys() == loaded.keys()
+    for name, value in fitted.items():
+        if isinstance(value, np.ndarray):
+            got = loaded[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape, value.tobytes())
+            assert not got.flags.writeable and got.flags.aligned
+        else:
+            assert loaded[name] == value
     X = np.random.default_rng(4).normal(size=(30, 3))
     assert again.model.predict_proba(X).tobytes() == tm.model.predict_proba(X).tobytes()
 
@@ -589,17 +599,12 @@ _DROPPED_MODEL_KEYS = {
 @pytest.mark.parametrize("family", ["rf", "gb", "knn"])
 def test_file_with_dropped_model_keys_loads_and_predicts_the_same(family, tmp_path):
     tm = _trained(family)
-    new, old = tmp_path / "new.zip", tmp_path / "old.zip"
+    new, old = tmp_path / "new.model", tmp_path / "old.model"
     tm.save(new)
-    with zipfile.ZipFile(new) as archive:
-        members = {name: archive.read(name) for name in archive.namelist()}
-    header = json.loads(members["header.json"])
-    assert not set(_DROPPED_MODEL_KEYS[family]) & set(header["model"])
-    header["model"].update(_DROPPED_MODEL_KEYS[family])
-    members["header.json"] = json.dumps(header).encode()
-    with zipfile.ZipFile(old, "w") as archive:
-        for name, data in members.items():
-            archive.writestr(name, data)
+    stored = _header(new)["model"]
+    assert not set(_DROPPED_MODEL_KEYS[family]) & set(stored)
+    old.write_bytes(new.read_bytes())
+    _rewrite_header(old, model={**stored, **_DROPPED_MODEL_KEYS[family]})
     X = np.random.default_rng(6).normal(size=(30, 3))
     loaded = TrainedModel.load(old)
     assert loaded.model.predict_proba(X).tobytes() == tm.model.predict_proba(X).tobytes()
@@ -611,10 +616,9 @@ def test_mdi_is_not_stored_and_stored_mdi_is_ignored(family, tmp_path, capsys):
     from pbselect.cli import main
 
     tm = _trained(family)
-    new, old = tmp_path / "new.zip", tmp_path / "old.zip"
+    new, old = tmp_path / "new.model", tmp_path / "old.model"
     tm.save(new)
-    with zipfile.ZipFile(new) as archive:
-        assert "mdi" not in json.loads(archive.read("header.json"))
+    assert "mdi" not in _header(new)
     # a file written while the header held the importances
     stored = None if family == "knn" else mdi_importance(tm.model).tolist()
     old.write_bytes(new.read_bytes())
@@ -650,10 +654,16 @@ def test_trained_model_rejects_schema_mismatch(tmp_path):
 
 def test_trained_model_version_check(tmp_path):
     tm = _trained("rf")
-    path = tmp_path / "model.zip"
+    path = tmp_path / "model.model"
     tm.save(path)
     _rewrite_header(path, version=99)
     with pytest.raises(ValueError, match="version 99"):
+        TrainedModel.load(path)
+    # format 3 was a zip archive: a header.json member first, then one .npy per array
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("header.json", json.dumps({"format": "pbselect-model", "version": 3, "family": "rf"}))
+        archive.writestr("trees.feature.npy", b"\x93NUMPY")
+    with pytest.raises(ValueError, match="version 3"):
         TrainedModel.load(path)
     # formats 1 and 2 were one JSON document, and are not read
     data = {"format": "pbselect-model", "version": 2, "family": "rf", "model": {}}
@@ -669,16 +679,19 @@ def test_trained_model_version_check(tmp_path):
         TrainedModel.load(path)
 
 
-@pytest.mark.parametrize("zipped", [False, True], ids=["whole-file", "zip-header"])
+@pytest.mark.parametrize("layout", ["whole-file", "zip-header", "header-line"])
 @pytest.mark.parametrize("content", [b"\x80\x81 not UTF-8", b"plain text", b'["a", "JSON", "list"]'],
                          ids=["binary", "text", "json-list"])
-def test_load_rejects_a_file_that_is_not_a_model(content, zipped, tmp_path, capsys):
+def test_load_rejects_a_file_that_is_not_a_model(content, layout, tmp_path, capsys):
     from pbselect.cli import main
 
-    path = tmp_path / "model.zip"
-    if zipped:  # the same bytes as the header member of a zip archive
+    path = tmp_path / "model.model"
+    if layout == "zip-header":  # the same bytes as the header member of a format-3 zip archive
         with zipfile.ZipFile(path, "w") as archive:
             archive.writestr("header.json", content)
+    elif layout == "header-line":  # the same bytes as the header line of a model's arrays
+        _trained("rf").save(path)
+        path.write_bytes(content + b"\n" + path.read_bytes().partition(b"\n")[2])
     else:
         path.write_bytes(content)
     message = f"{path} is not a pbselect-model file"
@@ -687,6 +700,39 @@ def test_load_rejects_a_file_that_is_not_a_model(content, zipped, tmp_path, caps
     assert str(info.value) == message
     assert main(["importance", "--model", str(path)]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "detail": message}
+
+
+# damage: (fields of the first array's [dtype, shape, offset] to replace,
+# bytes cut from the end (negative) or appended, what the error names)
+_DAMAGE = {
+    "truncated-body": ({}, -1, "runs past the end"),
+    "span-past-the-end": ({"offset": 10**6}, 0, "runs past the end"),
+    "trailing-bytes": ({}, 8, "8 bytes follow the last array"),
+    "object-dtype": ({"dtype": "|O"}, 0, "dtype"),
+    "void-dtype": ({"dtype": "|V8"}, 0, "dtype"),
+    "structured-dtype": ({"dtype": "<f8,<i8"}, 0, "dtype"),
+    "list-dtype": ({"dtype": [["a", "<f8"]]}, 0, "dtype"),
+    "unknown-dtype": ({"dtype": "zzz"}, 0, "dtype"),
+    "negative-shape": ({"shape": [-1]}, 0, "shape"),
+    "float-shape": ({"shape": [2.0]}, 0, "shape"),
+    "string-shape": ({"shape": ["2"]}, 0, "shape"),
+    "bool-shape": ({"shape": [True]}, 0, "shape"),
+    "negative-offset": ({"offset": -8}, 0, "offset"),
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGE))
+def test_load_rejects_a_damaged_model_file(damage, tmp_path):
+    fields, extra, phrase = _DAMAGE[damage]
+    path = tmp_path / "model.model"
+    _trained("gb").save(path)
+    header, body = _header(path), path.read_bytes().partition(b"\n")[2]
+    name, spec = next(iter(header["arrays"].items()))
+    header["arrays"][name] = [fields.get(key, value) for key, value in zip(("dtype", "shape", "offset"), spec)]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + (body[:extra] if extra < 0 else body + bytes(extra)))
+    with pytest.raises(ValueError, match=phrase) as info:
+        TrainedModel.load(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_importance_command_prints_mdi_table(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+import subprocess
 import time
 
 import pytest
@@ -213,6 +214,31 @@ def test_budget_kill_reaches_grandchildren(script, opb_file):
     assert status == "killed"
 
 
+def test_normal_exit_is_reaped_without_a_timed_wait(opb_file, monkeypatch):
+    # Popen.wait(timeout) polls, sleeping up to 50 ms between looks
+    timeouts = []
+    wait = subprocess.Popen.wait
+
+    def recording_wait(self, timeout=None):
+        timeouts.append(timeout)
+        return wait(self, timeout)
+
+    monkeypatch.setattr(subprocess.Popen, "wait", recording_wait)
+    lines, status = run_adapter(SolverAdapter("x", ("sh", "-c", "echo o 5")), opb_file, 5.0)
+    assert ([line for _, line in lines], status) == (["o 5"], "ok")
+    assert timeouts == [None]
+
+
+def test_child_that_closes_stdout_and_keeps_running_is_killed(opb_file):
+    # the reader sees the end of stdout early and then waits for the child
+    adapter = SolverAdapter("x", ("sh", "-c", "echo o 5; exec >&-; sleep 3"))
+    t0 = time.monotonic()
+    lines, status = run_adapter(adapter, opb_file, 0.5)
+    assert 0.5 <= time.monotonic() - t0 < 0.5 + 1.0
+    assert [line for _, line in lines] == ["o 5"]
+    assert status == "killed"
+
+
 def test_missing_executable_is_hard_error(opb_file):
     adapter = SolverAdapter("ghost", ("/nonexistent/solver", "{instance}"))
     with pytest.raises(AdapterError):
@@ -253,15 +279,13 @@ def test_run_portfolio_cardinality_and_resume(stub_solver, tmp_path):
 
     # resume: drop one pair, rerun, only that pair is filled back in
     victim = pairs[0]
-    mtimes = {
-        p: (archive._pair_base(*p).with_suffix(".traj")).stat().st_mtime_ns for p in pairs
-    }
-    archive._pair_base(*victim).with_suffix(".traj").unlink()
+    mtimes = {p: archive._pair_path(*p).stat().st_mtime_ns for p in pairs}
+    archive._pair_path(*victim).unlink()
     archive2 = run_portfolio(portfolio, paths, grid, tmp_path / "arch")
     assert archive2.has(*victim)
     for p in pairs:
         if p != victim:
-            assert archive2._pair_base(*p).with_suffix(".traj").stat().st_mtime_ns == mtimes[p]
+            assert archive2._pair_path(*p).stat().st_mtime_ns == mtimes[p]
 
 
 def test_run_portfolio_parallel_matches_sequential(stub_solver, tmp_path):
@@ -331,7 +355,7 @@ def test_read_trajectory_checks_whole_grid(tmp_path):
     archive = RunArchive(tmp_path / "a", grid)
     archive.write_trajectory(_traj(((0.5, 3),)))
     assert archive.read_trajectory("i", "s").events == ((0.5, 3),)
-    path = archive._pair_base("i", "s").with_suffix(".traj")
+    path = archive._pair_path("i", "s")
     lines = path.read_text().splitlines()
     for key, value in (("t_min", 0.5), ("horizon", 20.0)):
         meta = json.loads(lines[0])
@@ -403,6 +427,34 @@ def test_duplicate_solver_ids_rejected():
         PortfolioConfig(adapters=[SolverAdapter("x", "a"), SolverAdapter("x", "b")])
 
 
+def test_dotted_solver_ids_keep_their_own_files(tmp_path):
+    grid = make_grid(2, 1.0, 0.2)
+    values = {"v1.0": 5, "v1.1": 3, "s0": 9}
+    portfolio = PortfolioConfig(adapters=[SolverAdapter(sid, ("sh", "-c", f"echo o {v}")) for sid, v in values.items()])
+    archive = run_portfolio(portfolio, _instances(tmp_path, n=1), grid, tmp_path / "arch")
+    ((iid, _, _),) = archive.instances()
+    assert sorted(p.name for p in (archive.root / iid).iterdir()) == [
+        "s0.log", "s0.traj", "v1.0.log", "v1.0.traj", "v1.1.log", "v1.1.traj"
+    ]
+    for sid, value in values.items():
+        traj = archive.read_trajectory(iid, sid)
+        assert (traj.solver_id, [v for _, v in traj.events]) == (sid, [value])
+    archive.record_failure(iid, "v2.0", "boom")
+    assert archive.failures() == [(iid, "v2.0", "boom")]
+    assert not archive.has(iid, "v2.1")
+
+
+@pytest.mark.parametrize("sid", ["", ".", ".."], ids=["empty", "dot", "dot-dot"])
+def test_solver_id_that_names_no_file_is_rejected(sid):
+    with pytest.raises(ValueError, match="cannot name an archive file"):
+        PortfolioConfig(adapters=[SolverAdapter("a", "true"), SolverAdapter(sid, "true")])
+
+
+def test_solver_ids_that_share_a_file_name_are_rejected():
+    with pytest.raises(ValueError, match="solver ids 's,1' and 's;1' share the archive file name 's_1'"):
+        PortfolioConfig(adapters=[SolverAdapter("s,1", "true"), SolverAdapter("s;1", "true")])
+
+
 def test_empty_portfolio_rejected(tmp_path):
     with pytest.raises(ValueError, match="portfolio has no solvers"):
         PortfolioConfig(adapters=[])
@@ -440,7 +492,7 @@ def test_read_trajectory_rejects_short_sampled_record(tmp_path):
     grid = make_grid(3, 10.0, 1.0)
     archive = RunArchive(tmp_path / "a", grid)
     archive.write_trajectory(_traj(((0.5, 3),)))
-    path = archive._pair_base("i", "s").with_suffix(".traj")
+    path = archive._pair_path("i", "s")
     text = path.read_text()
     assert text.endswith("sampled 3 3 3\n")
     for record in ("sampled 3 3", "sampled 3 3 3 3", "sampled"):
@@ -462,7 +514,7 @@ def test_trajectory_files_of_other_writers_read_as_their_events(tmp_path):
     rng = random.Random(23)
     grid = make_grid(12, 50.0, 0.5)
     archive = RunArchive(tmp_path / "a", grid)
-    path = archive._pair_base("i", "s").with_suffix(".traj")
+    path = archive._pair_path("i", "s")
     path.parent.mkdir()
     for _ in range(300):
         # events on grid points and between them, some without any
@@ -485,7 +537,7 @@ def test_trajectory_files_of_other_writers_read_as_their_events(tmp_path):
 def test_sampled_record_of_right_width_is_not_read(tmp_path):
     grid = make_grid(3, 10.0, 1.0)
     archive = RunArchive(tmp_path / "a", grid)
-    path = archive._pair_base("i", "s").with_suffix(".traj")
+    path = archive._pair_path("i", "s")
     path.parent.mkdir()
     path.write_text(_foreign_traj_text(grid, ((0.5, 3),), [9, None, -4]))
     traj = archive.read_trajectory("i", "s")
