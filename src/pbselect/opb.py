@@ -48,8 +48,8 @@ The reader makes one array pass over the document's bytes: tokens are the
 runs between blanks and ``;`` bytes, each token's kind comes from its first
 byte, a table of the kinds that may follow each other checks the grammar,
 and the digits are converted at once.  Each token keeps its byte offset.
-Only when a check fails does a scalar walker read the tokens as text to
-find the first error in document order, with its line and column.
+When a check fails, array checks on the same kinds and digits give the
+first error in reading order; only its token and line are decoded.
 """
 
 from __future__ import annotations
@@ -188,9 +188,6 @@ def is_linear(inst: Instance) -> bool:
     return len(inst.variables) == len(inst.coefficients)
 
 
-_RELATIONS = (">=", "<=", "=", ">", "<")
-# the accepted relations, as stored: '<=' constraints are negated
-_STORED = {">=": GEQ, "<=": GEQ, "=": EQ}
 # the one way ``int`` fails on a token of digits
 _TOO_LONG = "integer has more digits than the interpreter converts"
 _MAX_INDEX = 2**63 - 1
@@ -236,11 +233,6 @@ _HEADER_RE = re.compile(
 _LINE_END_RE = re.compile(rb"[\n\r]")
 
 
-class _Misplaced(Exception):
-    """A parse error as (reason, statement number, token number), the
-    statement's ';' counting as the token after its last."""
-
-
 class _Tokens(NamedTuple):
     """A document's tokens and ';'s, comments left out, as byte offsets
     into ``text``: the document between two added line ends."""
@@ -251,6 +243,8 @@ class _Tokens(NamedTuple):
     starts: np.ndarray  # the first byte of each token
     ends: np.ndarray  # one past each token's last byte
     semis: np.ndarray  # the offset of each ';'
+    digit: np.ndarray  # each byte's digit, 0 for any other byte
+    is_digit: np.ndarray  # whether each byte is a digit
     header: tuple[int, int] | None
     header_error: int | None  # the offset of a header count too long to convert
 
@@ -284,34 +278,60 @@ def _tokenize(data: bytes) -> _Tokens:
     edges = np.flatnonzero(solid[1:] != solid[:-1])
     edges += 1
     semis = np.flatnonzero(is_semi)
-    return _Tokens(text, codes, solid, edges[::2], edges[1::2], semis, header, header_error)
+    digit = codes - np.uint8(48)
+    is_digit = digit < 10
+    digit *= is_digit
+    return _Tokens(text, codes, solid, edges[::2], edges[1::2], semis, digit, is_digit, header, header_error)
 
 
-def _read(doc: _Tokens, source_name: str) -> Instance | None:
-    """The instance, with every token classified, converted and checked at
-    once; None when any check fails, which leaves the error to
-    :func:`_locate`."""
-    starts, ends, codes, semis = doc.starts, doc.ends, doc.codes, doc.semis
-    n = len(starts)
-    # statement s holds the tokens bounds[s]:bounds[s + 1]
-    bounds = np.concatenate(([0], np.searchsorted(starts, semis)))
-    sizes = bounds[1:] - bounds[:-1]
-    if (
-        doc.header_error is not None
-        or bounds[-1] < n
-        or sizes.min(initial=1) < 1
-        or doc.solid.take(semis + 1).any()  # a ';' that does not end its word
-    ):
-        return None
+def _kinds(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Each token's first byte, its kind and its width, the bytes after its
+    kind's prefix."""
     lead = codes.take(starts)
     pair = lead.astype(np.intp)
     pair <<= 8
     pair |= codes.take(starts + 1)
     kind = _KIND.take(pair)
+    width = ends - starts
+    width -= _PREFIX.take(kind)
+    return lead, kind, width
+
+
+def _numbers(text: bytes, digit: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The integer that each token's last ``width`` bytes spell: int64 when
+    none has more than _LONG digits, else Python ints; a ValueError when one
+    has more digits than ``int`` converts."""
+    values, place = np.zeros(len(ends), np.int64), np.empty(len(ends), np.int64)
+    # last digit first: once they run out, the byte before them, which is no digit, reads as 0
+    pos, before = ends - 1, ends - width
+    before -= 1
+    for j in range(min(width.max(initial=0), _LONG)):
+        np.multiply(digit.take(np.maximum(pos, before, out=pos)), 10**j, out=place, dtype=np.int64)
+        values += place
+        pos -= 1
+    long = np.flatnonzero(width > _LONG)
+    if len(long):
+        values = values.astype(object)
+        spans = zip((ends[long] - width[long]).tolist(), ends[long].tolist())
+        values[long] = [int(text[a:z]) for a, z in spans]
+    return values
+
+
+def _read(doc: _Tokens, source_name: str) -> Instance:
+    """The instance, with every token classified, converted and checked at
+    once; when a check fails, the error that :func:`_locate` finds."""
+    starts, ends, codes, semis = doc.starts, doc.ends, doc.codes, doc.semis
+    n = len(starts)
+    # statement s holds the tokens bounds[s]:bounds[s + 1]
+    bounds = np.concatenate(([0], np.searchsorted(starts, semis)))
+    sizes = bounds[1:] - bounds[:-1]
+    if doc.header_error is not None or bounds[-1] < n or sizes.min(initial=1) < 1 or (
+        doc.solid.take(semis + 1).any()  # a ';' that does not end its word
+    ):
+        return _locate(doc)
+    lead, kind, width = kinds = _kinds(codes, starts, ends)
     heads = np.flatnonzero(kind == _HEAD)
     has_objective = len(heads) == 1
-    if len(heads) > 1:
-        return None
 
     # the grammar, as the kinds that may follow each other: padded by the
     # end of a constraint before the first token and a coefficient after the
@@ -326,42 +346,22 @@ def _read(doc: _Tokens, source_name: str) -> Instance | None:
     if has_objective:
         s = int(np.searchsorted(bounds, heads[0], "right")) - 1
         end[bounds[s + 1]] = 2
-    if not _FOLLOWS.take((role[:-1] * 9 + role[1:]) * 3 + end[:-1]).all():
-        return None
-    if has_objective and doc.text[starts[heads[0]] : ends[heads[0]]] != b"min:":
-        return None
+    follows = _FOLLOWS.take((role[:-1] * 9 + role[1:]) * 3 + end[:-1])
+    if not follows.all():  # the first error is at the latest in the statement of the pair's later token
+        return _locate(doc, starts[min(follows.argmin(), n - 1)], kinds)
+    if len(heads) > 1 or has_objective and doc.text[starts[heads[0]] : ends[heads[0]]] != b"min:":
+        return _locate(doc, 0, kinds)
     # each coefficient and literal holds digits after its prefix, and nothing
     # else: every digit of a token is in one, and their widths add up to them;
     # a relation or 'min:' holds its prefix alone
-    digit = codes - np.uint8(48)  # a byte's digit, 10 or more for any other byte
-    is_digit = digit < 10
-    numeric = kind < _RHS
-    width = ends - starts
-    width -= _PREFIX.take(kind)
-    if (np.minimum(width, 1) != numeric).any():
-        return None
-    if width.sum() != np.count_nonzero(is_digit & doc.solid):
-        return None
-
-    # each token's digits as an int64, last digit first: once they run out,
-    # the byte before them, which is no digit, is read as 0; a longer token as an int
-    digit *= is_digit
-    values, place = np.zeros(n, np.int64), np.empty(n, np.int64)
-    pos, before = ends - 1, ends - width
-    before -= 1
-    for j in range(min(width.max(initial=0), _LONG)):
-        np.multiply(digit.take(np.maximum(pos, before, out=pos)), 10**j, out=place, dtype=np.int64)
-        values += place
-        pos -= 1
-    long = np.flatnonzero(width > _LONG)
-    if len(long):
-        try:
-            spans = zip((ends[long] - width[long]).tolist(), ends[long].tolist())
-            big = [int(doc.text[a:z]) for a, z in spans]
-        except ValueError:  # an integer longer than ``int`` converts
-            return None
-        values = values.astype(object)
-        values[long] = big
+    if (np.minimum(width, 1) != (kind < _RHS)).any():
+        return _locate(doc, 0, kinds)
+    if width.sum() != np.count_nonzero(doc.is_digit & doc.solid):
+        return _locate(doc, 0, kinds)
+    try:
+        values = _numbers(doc.text, doc.digit, ends, width)
+    except ValueError:  # an integer longer than ``int`` converts
+        return _locate(doc, 0, kinds)
 
     # the term tokens of the objective, then of each constraint in order;
     # regions[s] of them are statement s's
@@ -383,18 +383,18 @@ def _read(doc: _Tokens, source_name: str) -> Instance | None:
     try:
         variables = term_values.compress(is_literal).astype(np.int64, copy=False)
     except OverflowError:
-        return None
+        return _locate(doc, 0, kinds)
     negated = term_kind.compress(is_literal) == _NEGATED
     top = int(variables.max(initial=0))
     if variables.min(initial=1) < 1 or (doc.header is not None and top > doc.header[0]):
-        return None
+        return _locate(doc, 0, kinds)
     statement_starts = np.searchsorted(at, _offsets(regions))
     if len(variables) > len(at) and _within_terms(variables[1:] <= variables[:-1], term_starts):
         term_of = np.repeat(np.arange(len(at)), np.diff(term_starts))
         order = np.lexsort((variables, term_of))
         variables, negated = variables[order], negated[order]
         if _within_terms(variables[1:] == variables[:-1], term_starts):
-            return None
+            return _locate(doc, 0, kinds)
 
     # signs: a '-' prefix, and both sides of a '<=' constraint negated
     negative = lead.take(term.take(at)) == ord("-")
@@ -436,139 +436,6 @@ def _read(doc: _Tokens, source_name: str) -> Instance | None:
     )
 
 
-def _is_coefficient(tok: str) -> bool:
-    """``[+-]?`` then ASCII digits."""
-    digits = tok[1:] if tok[0] in "+-" else tok
-    return digits.isascii() and digits.isdigit()
-
-
-def _literal(tok: str) -> tuple[int, bool] | None:
-    """``(index, negated)`` of an ``x<i>`` or ``~x<i>`` token, else None."""
-    if tok[0] == "x":
-        digits, negated = tok[1:], False
-    elif tok[:2] == "~x":
-        digits, negated = tok[2:], True
-    else:
-        return None
-    return (int(digits), negated) if digits.isascii() and digits.isdigit() else None
-
-
-def _check_term(stmt: list[str], head: int, s: int) -> None:
-    """Raise the first error of the term whose coefficient is token
-    ``head``: a coefficient too long to convert, then, in document order,
-    an index below 1 or a repeated index among its literals."""
-    try:
-        int(stmt[head])
-    except ValueError:
-        raise _Misplaced(_TOO_LONG, s, head) from None
-    seen: set[int] = set()
-    for k in range(head + 1, len(stmt)):
-        lit = _literal(stmt[k])
-        if lit is None:
-            break
-        var = lit[0]
-        if var < 1:
-            raise _Misplaced("variable index must be >= 1", s, k)
-        if var in seen:
-            raise _Misplaced(f"variable x{var} appears twice in one term", s, k)
-        seen.add(var)
-
-
-def _check_terms(stmt: list[str], start: int, stop: int, s: int) -> int:
-    """Raise the first error in the terms in tokens ``start:stop`` of
-    statement ``s``; else return the largest variable index they use."""
-    top = 0
-    head = -1  # token index of the open term's coefficient
-    has_literals = False
-    for k in range(start, stop):
-        tok = stmt[k]
-        try:
-            lit = _literal(tok) if head >= 0 else None
-        except ValueError:  # an index longer than ``int`` converts
-            raise _Misplaced(_TOO_LONG, s, k) from None
-        if lit is not None:
-            has_literals = True
-            if lit[0] > top:
-                top = lit[0]
-            continue
-        if head >= 0:
-            if not has_literals:
-                raise _Misplaced(f"expected literal, got {tok!r}", s, k)
-            _check_term(stmt, head, s)
-        if not _is_coefficient(tok):
-            raise _Misplaced(f"expected coefficient, got {tok!r}", s, k)
-        head, has_literals = k, False
-    if head < 0:
-        raise _Misplaced("statement has no terms", s, 0)
-    if not has_literals:
-        raise _Misplaced(f"term with coefficient {stmt[head]} has no literals", s, head)
-    _check_term(stmt, head, s)
-    return top
-
-
-def _relation_error(stmt: list[str], s: int) -> _Misplaced | None:
-    """The first relation or right-hand-side error of a constraint."""
-    at = [k for k, tok in enumerate(stmt) if tok in _RELATIONS]
-    if not at:
-        return _Misplaced("constraint has no relation", s, 0)
-    if len(at) > 1:
-        return _Misplaced("multiple relations in one constraint", s, at[1])
-    ri, rel = at[0], stmt[at[0]]
-    if rel not in _STORED:
-        return _Misplaced(f"relation {rel!r} not allowed (use >=, <= or =)", s, ri)
-    if ri != len(stmt) - 2:
-        return _Misplaced("expected a single right-hand side after the relation", s, ri)
-    if not _is_coefficient(stmt[-1]):
-        return _Misplaced(f"malformed right-hand side {stmt[-1]!r}", s, len(stmt) - 1)
-    return None
-
-
-def _first_use(statements: list[list[str]], var: int) -> tuple[int, int]:
-    """Statement and token number of the first literal of ``var``."""
-    for s, stmt in enumerate(statements):
-        for k, tok in enumerate(stmt):
-            lit = _literal(tok)
-            if lit is not None and lit[0] == var:
-                return s, k
-    raise ValueError(f"x{var} does not occur")
-
-
-def _walk(statements: list[list[str]], header: tuple[int, int] | None) -> NoReturn:
-    """Raise the first grammar error, in document order, of terminated,
-    non-empty statements."""
-    seen_objective = False
-    top = 0
-    for s, stmt in enumerate(statements):
-        n = len(stmt)
-        if stmt[0] == "min:":
-            if seen_objective:
-                raise _Misplaced("multiple objective lines", s, 0)
-            seen_objective = True
-            used = _check_terms(stmt, 1, n, s) if n > 1 else 0
-        elif n >= 2 and stmt[-2] in _STORED and _is_coefficient(stmt[-1]):
-            try:
-                used = _check_terms(stmt, 0, n - 2, s)
-            except _Misplaced as exc:
-                # a relation error comes first, wherever it is
-                raise _relation_error(stmt, s) or exc
-            try:
-                int(stmt[-1])
-            except ValueError:
-                raise _Misplaced(_TOO_LONG, s, n - 1) from None
-        else:
-            # a statement of any other shape has a relation error
-            raise _relation_error(stmt, s)
-        top = max(top, used)
-    if header is not None and top > header[0]:
-        raise _Misplaced(
-            f"undeclared variable x{top} (header declares {header[0]})",
-            *_first_use(statements, top),
-        )
-    if top > _MAX_INDEX:
-        raise _Misplaced(f"variable index x{top} exceeds 2**63 - 1", *_first_use(statements, top))
-    raise AssertionError("the array checks rejected a well-formed document")
-
-
 def _last_line(head: bytes) -> tuple[int, bytes]:
     """The 1-based number and the text of the last line of ``head``: a
     document's bytes up to a position, after an added line end."""
@@ -576,44 +443,101 @@ def _last_line(head: bytes) -> tuple[int, bytes]:
     return number, head[max(head.rfind(b"\n"), head.rfind(b"\r")) + 1 :]
 
 
-def _locate(doc: _Tokens) -> NoReturn:
-    """Raise the first error, in document order, of a document that
-    :func:`_read` rejected: the one scalar walk of the grammar, with the
-    line and column of the error's byte."""
-    text = doc.text
-    # a word is a run of token bytes and ';'s; its final ';' ends a
-    # statement, and the rest of it is a token
-    word = doc.solid.copy()
-    word[doc.semis] = True
-    edges = np.flatnonzero(word[1:] != word[:-1]) + 1
-    statements: list[list[str]] = [[]]
-    offsets: list[list[int]] = [[]]  # each token's, then the statement's ';'
-    for a, z in zip(edges[::2].tolist(), edges[1::2].tolist()):
-        glued = text[z - 1] == ord(";")
-        if z - glued > a:
-            statements[-1].append(text[a : z - glued].decode("utf-8", "surrogatepass"))
-            offsets[-1].append(a)
-        if glued:
-            offsets[-1].append(z - 1)
-            statements.append([])
-            offsets.append([])
-    empty = next((s for s, stmt in enumerate(statements[:-1]) if not stmt), None)
-    # the errors of reading the lines come first, in document order
-    if doc.header_error is not None and (empty is None or doc.header_error < offsets[empty][0]):
-        reason, offset = _TOO_LONG, doc.header_error
-    else:
-        try:
-            if empty is not None:
-                raise _Misplaced("empty statement", empty, 0)
-            if statements[-1]:
-                s = len(statements) - 1
-                raise _Misplaced("statement missing ';' terminator", s, len(statements[s]) - 1)
-            _walk(statements[:-1], doc.header)
-        except _Misplaced as exc:
-            reason, s, k = exc.args
-            offset = offsets[s][k]
-    line, before = _last_line(text[:offset])
-    raise OpbParseError(reason, line, len(before.decode("utf-8", "surrogatepass")) + 1)
+def _locate(doc: _Tokens, hint: int = 0, kinds: tuple | None = None) -> NoReturn:
+    """Raise the first error that reading a document token by token meets:
+    its lines', each statement's (a constraint's relation error first, a
+    term's when the token after it is read), then the largest index's.  The
+    statements up to the one holding byte ``hint``, if given, come first;
+    ``kinds`` are the tokens' :func:`_kinds`, if the caller has them."""
+    text, semis = doc.text, doc.semis
+
+    def fail(reason: str, a: int, z: int = 0, **fields) -> NoReturn:
+        line, before = _last_line(text[:a])  # at byte a, with the token text[a:z]
+        reason = reason.format(tok=text[a:z].decode("utf-8", "surrogatepass"), **fields)
+        raise OpbParseError(reason, line, len(before.decode("utf-8", "surrogatepass")) + 1)
+
+    def found(where, s, met, at, reason):
+        w = np.flatnonzero(where)
+        keys.append([x[w] if np.ndim(x) else np.full(len(w), x) for x in (s, met, len(reasons), at)])
+        reasons.append(reason)
+
+    # a ';' ends a statement only when it ends its run of token bytes and ';'s
+    stops = semis[~doc.solid.take(semis + 1) & (doc.codes.take(semis + 1) != ord(";"))]
+    tokens = doc.starts, doc.ends
+    if len(stops) < len(semis):
+        word = doc.solid.copy()
+        word[np.setdiff1d(semis, stops)] = True
+        tokens = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T + 1  # starts, ends
+    bounds = np.concatenate(([0], np.searchsorted(tokens[0], stops)))
+    empty = stops[np.diff(bounds) == 0][:1].tolist()
+    if doc.header_error is not None and doc.header_error < (empty or [len(text)])[0]:
+        fail(_TOO_LONG, doc.header_error)
+    for a in empty:
+        fail("empty statement", a)
+    if bounds[-1] < len(tokens[0]):
+        fail("statement missing ';' terminator", tokens[0][-1])
+
+    for cut in dict.fromkeys((np.searchsorted(stops, hint) + 1 if hint else len(stops), len(stops))):
+        starts, ends = (t[: bounds[cut]] for t in tokens)  # of the statements :cut
+        lead, kind, width = (k[: len(starts)] for k in kinds) if kinds else _kinds(doc.codes, starts, ends)
+        seen = np.cumsum(doc.is_digit[: ends[-1]], dtype=np.uint32)  # digits, modulo 2**32
+        valid = (np.minimum(width, 1) == (kind < _RHS)) & (seen[ends - 1] - seen[starts - 1] == width)
+        is_c, is_l = valid & (kind < _LITERAL), valid & ((kind == _LITERAL) | (kind == _NEGATED))
+        long = (is_c | is_l) & (width > (sys.get_int_max_str_digits() or np.inf))  # read as no digits
+        loose = (ends - starts == 1) & ((lead == ord("<")) | (lead == ord(">")))
+        first, last = bounds[:cut], bounds[1 : cut + 1] - 1
+        statements, index = np.arange(cut), np.arange(len(starts))
+        objective = valid.take(first) & (kind.take(first) == _HEAD)
+        objective[objective] = [text[a : a + 4] == b"min:" for a in starts[first[objective]].tolist()]
+        stmt = np.repeat(statements, last - first + 1)
+        # each statement's relations, their count and first two; its terms, tokens lo:hi
+        rel = np.flatnonzero(loose | valid & ((kind == _RELATION) | (kind == _EQUALS)))
+        count = np.bincount(stmt[rel], minlength=cut)
+        r1, r2 = np.append(rel, [0, 0])[np.searchsorted(stmt[rel], statements) + [[0], [1]]]
+        lo, hi = first + objective, np.where(objective, last + 1, last - 1)
+        opens = index == lo.take(stmt)
+        inside = (index >= lo.take(stmt)) & (index < hi.take(stmt))
+        lit = inside & is_l & ~opens
+        follows_c = np.append(False, is_c[:-1])
+        # the token after each token's term, and each later use of an index in a term
+        term_end = np.append(np.flatnonzero(~lit), len(lit))[np.cumsum(~lit)]
+        uses = np.flatnonzero(lit)
+        terms, value = term_end[uses], _numbers(text, doc.digit, ends[uses], (width * ~long)[uses])
+        twice = np.zeros(len(uses), bool)
+        sub = np.flatnonzero(np.isin(terms, terms[1:][(np.diff(terms) == 0) & (np.diff(value) <= 0)]))
+        order = sub[np.lexsort((value[sub], terms[sub]))]  # the terms whose indices do not increase
+        twice[order[1:][(np.diff(terms[order]) == 0) & (np.diff(value[order]) == 0)]] = True
+        keys, reasons = [], []  # (statement, token where met, call below, token at) of each error
+        found(objective & (np.cumsum(objective) > 1), statements, -1, first, "multiple objective lines")
+        found(~objective & (count == 0), statements, -1, first, "constraint has no relation")
+        found(~objective & (count > 1), statements, -1, r2, "multiple relations in one constraint")
+        reason = "relation {tok!r} not allowed (use >=, <= or =)"
+        found(~objective & loose.take(r1), statements, -1, r1, reason)
+        reason = "expected a single right-hand side after the relation"
+        found(~objective & (r1 != last - 1), statements, -1, r1, reason)
+        found(~objective & ~is_c.take(last), statements, -1, last, "malformed right-hand side {tok!r}")
+        found(~objective & (hi <= lo), statements, first, first, "statement has no terms")
+        reason = "term with coefficient {tok} has no literals"
+        found((hi > lo) & is_c.take(hi - 1, mode="clip"), statements, hi, hi - 1, reason)
+        found(inside & ~opens & follows_c & ~is_l, stmt, index, index, "expected literal, got {tok!r}")
+        found((lit | ~objective.take(stmt) & (index == last.take(stmt))) & long, stmt, index, index, _TOO_LONG)
+        found(inside & is_c & long, stmt, term_end, index, _TOO_LONG)
+        reason = ("variable index must be >= 1", "variable x{var} appears twice in one term")
+        found((value < 1) | twice, stmt[uses], terms, uses, reason)  # the index below 1, else repeated
+        reason = "expected coefficient, got {tok!r}"
+        found(inside & ~is_c & (opens | ~follows_c & ~is_l), stmt, index, index, reason)
+        # after every statement, the largest index of the document, at its first use
+        top, declared = value.max(initial=0), doc.header[0] if doc.header else np.inf
+        reason = "undeclared variable x{var} (header declares {declared})"
+        reason = reason if top > declared else "variable index x{var} exceeds 2**63 - 1"
+        found((value == top) & (top > min(declared, _MAX_INDEX)) & (cut == len(stops)), cut, 0, uses, reason)
+        keys = [np.concatenate(column) for column in zip(*keys)]
+        if len(keys[0]):
+            _, _, code, at = (column[np.lexsort(keys[::-1])[0]] for column in keys)
+            reason, var = reasons[code], int(np.append(value, 0)[np.searchsorted(uses, at)])
+            reason = reason[var >= 1] if isinstance(reason, tuple) else reason
+            fail(reason, starts[at], ends[at], var=var, declared=declared)
+    raise AssertionError("the array checks rejected a well-formed document")
 
 
 def parse_opb(text: str | bytes, source_name: str = "") -> Instance:
@@ -629,11 +553,7 @@ def parse_opb(text: str | bytes, source_name: str = "") -> Instance:
                 line, before = _last_line(b"\n" + data[: exc.start])
                 reason = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
                 raise OpbParseError(reason, line, len(before) + 1) from None
-    doc = _tokenize(data)
-    inst = _read(doc, source_name)
-    if inst is None:
-        _locate(doc)
-    return inst
+    return _read(_tokenize(data), source_name)
 
 
 def parse_opb_file(path: str | Path) -> Instance:

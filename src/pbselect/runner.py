@@ -456,12 +456,16 @@ class RunArchive:
         path = self._pair_path(instance_id, solver_id, ".error")
         with self._lock:
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, message + "\n")
+            _write_atomic(path, json.dumps({"solver": solver_id}) + "\n" + message + "\n")
 
     def failures(self) -> list[tuple[str, str, str]]:
         out = []
         for err in sorted(self.root.glob("*/*.error")):
-            out.append((err.parent.name, err.stem, err.read_text().strip()))
+            # a metadata line holds the solver id, which the file name holds
+            # sanitized; a file of an earlier version holds the message alone
+            text = err.read_text()
+            meta, message = text.split("\n", 1) if text.startswith('{"solver"') else ("{}", text)
+            out.append((err.parent.name, json.loads(meta).get("solver", err.stem), message.strip()))
         return out
 
 

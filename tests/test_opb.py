@@ -1,4 +1,5 @@
 import random
+import re
 import runpy
 from pathlib import Path
 
@@ -114,6 +115,23 @@ _PARSE_ERRORS = [
     # bytes that are not UTF-8, at their 1-based byte column
     (b"* caf\xe9\nmin: +1 x1 ;\n", "invalid UTF-8 byte 0xe9", 1, 6),
     (HEADER.encode() + "* \u00e9".encode() + b"\xff\n", "invalid UTF-8 byte 0xff", 2, 5),
+    # which error comes first: a constraint's relation error before its terms'
+    (HEADER + "+1 y1 > 1 ;\n", "relation '>'", 2, 7),
+    (HEADER + "+1 y1 >= 1 = 2 ;\n", "multiple relations", 2, 12),
+    # in a term, what reading meets first, then its coefficient, then its indices
+    (HEADER + "+" + "1" * 5000 + " x" + "1" * 5000 + " >= 1 ;\n", "more digits", 2, 5003),
+    (HEADER + "+" + "1" * 5000 + " y >= 1 ;\n", "expected literal, got 'y'", 2, 5003),
+    (HEADER + "+" + "1" * 5000 + " x1 x1 >= 1 ;\n", "integer has more digits", 2, 1),
+    # a statement's error before the whole document's
+    (HEADER + "+1 x9 >= 1 ;\n+1 y >= 1 ;\n", "expected literal, got 'y'", 3, 4),
+    (HEADER + "mix: +1 x1 ;\n", "no relation", 2, 1),
+    ("min: +1 x9223372036854775808 ;\n", "exceeds 2**63 - 1", 1, 9),
+    # a ';' ends a statement only when it ends its word
+    (HEADER + "+1 x1;x2 >= 1 ;\n", "expected literal, got 'x1;x2'", 2, 4),
+    (HEADER + "+1 x1 >= 1 ;;\n", "expected a single right-hand side", 2, 7),
+    # the errors of the lines, in document order
+    ("* #variable= " + "9" * 5000 + " #constraint= 0\nmin: +1 x1 ;\n ;\n", "more digits", 1, 14),
+    (" ; * #variable= 3 #constraint= 1\nmin: +1 x1 ;\n", "empty statement", 1, 2),
 ]
 
 
@@ -127,6 +145,7 @@ def test_parse_errors(doc, fragment, line, column):
         parse_opb(doc)
     assert fragment in str(err.value)
     assert (err.value.line, err.value.column) == (line, column)
+    assert not _assert_same(doc)
 
 
 def test_error_carries_position():
@@ -277,8 +296,8 @@ def test_linearize_preserves_satisfiability_and_objective():
 
 
 def test_mutated_documents_parse_or_raise_opb_parse_error():
-    # the array checks hand every document they reject to the scalar
-    # locator, which must raise; no other exception may escape
+    # every document that the array checks reject reaches the locator,
+    # which must raise; no other exception may escape
     rng = random.Random(8)
     accepted = 0
     for _ in range(2000):
@@ -333,14 +352,22 @@ def test_array_reader_matches_line_reader_on_mutated_documents():
     assert 400 < accepted < 1600
 
 
-def test_array_reader_matches_line_reader_on_a_served_size_document(tmp_path):
-    # the benchmark's generator of served instances, at 100,000 terms
+@pytest.mark.parametrize("bad_line", ["none", "first", "middle", "last"])
+def test_array_reader_matches_line_reader_on_a_served_size_document(tmp_path, bad_line):
+    # the benchmark's generator of served instances, at 100,000 terms, as it
+    # is or with a malformed statement before, amid or after its statements
     inputs = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "inputs.py"))
     path = tmp_path / "served.opb"
     serve_instance = inputs["serve_instance"]
     counts = serve_instance(path, random.Random(1), random.Random(2), 100_000, nonlinear=True)
-    assert _assert_same(path.read_bytes())
-    assert len(parse_opb(path.read_bytes()).coefficients) == counts.n_terms
+    data = path.read_bytes()
+    if bad_line == "none":
+        assert _assert_same(data)
+        assert len(parse_opb(data).coefficients) == counts.n_terms
+        return
+    ends = [m.end() for m in re.finditer(rb";\n", data)]
+    at = {"first": 0, "middle": ends[len(ends) // 2], "last": len(data)}[bad_line]
+    assert not _assert_same(data[:at] + b"+1 x1 >= y ;\n" + data[at:])
 
 
 # Documents that the ASCII grammar reads otherwise than the line-by-line

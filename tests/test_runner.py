@@ -331,6 +331,17 @@ def test_successful_write_clears_stale_failure(tmp_path):
     assert archive.has("i", "s")
 
 
+def test_failures_name_the_solver_id_not_its_file_name(tmp_path):
+    grid = make_grid(2, 10.0, 1.0)
+    RunArchive(tmp_path / "a", grid).record_failure("i", "s,1", "boom\nat launch")
+    assert (tmp_path / "a" / "i" / "s_1.error").exists()
+    assert RunArchive(tmp_path / "a").failures() == [("i", "s,1", "boom\nat launch")]
+    # a file written before the id was stored holds the message alone
+    (tmp_path / "a" / "j").mkdir()
+    (tmp_path / "a" / "j" / "t_2.error").write_text("old failure\n")
+    assert RunArchive(tmp_path / "a").failures()[1] == ("j", "t_2", "old failure")
+
+
 def test_interrupted_archive_writes_leave_no_partial_file(tmp_path, monkeypatch):
     grid = make_grid(2, 10.0, 1.0)
     RunArchive(tmp_path / "a", grid).record_failure("i", "s", "first failure")
