@@ -120,7 +120,7 @@ def _int_array(values: list[int]) -> np.ndarray:
 
 def _within_terms(pairs: np.ndarray, term_starts: np.ndarray) -> bool:
     """Whether any of ``pairs`` (one per adjacent pair of literals) holds
-    for two literals of one term."""
+    for two literals of one term; the others are set to False."""
     pairs[term_starts[1:-1] - 1] = False
     return bool(pairs.any())
 
@@ -354,8 +354,8 @@ def _read(doc: _Tokens, source_name: str) -> Instance:
     # each coefficient and literal holds digits after its prefix, and nothing
     # else: every digit of a token is in one, and their widths add up to them;
     # a relation or 'min:' holds its prefix alone
-    if (np.minimum(width, 1) != (kind < _RHS)).any():
-        return _locate(doc, 0, kinds)
+    if (misfit := np.minimum(width, 1) != (kind < _RHS)).any():  # the first error is by the misfit's statement
+        return _locate(doc, starts[misfit.argmax()], kinds)
     if width.sum() != np.count_nonzero(doc.is_digit & doc.solid):
         return _locate(doc, 0, kinds)
     try:
@@ -393,8 +393,8 @@ def _read(doc: _Tokens, source_name: str) -> Instance:
         term_of = np.repeat(np.arange(len(at)), np.diff(term_starts))
         order = np.lexsort((variables, term_of))
         variables, negated = variables[order], negated[order]
-        if _within_terms(variables[1:] == variables[:-1], term_starts):
-            return _locate(doc, 0, kinds)
+        if _within_terms(repeated := variables[1:] == variables[:-1], term_starts):
+            return _locate(doc, starts.take(term.take(at.take(term_of[:-1][repeated]))).min(), kinds)
 
     # signs: a '-' prefix, and both sides of a '<=' constraint negated
     negative = lead.take(term.take(at)) == ord("-")

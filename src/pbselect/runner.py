@@ -14,7 +14,8 @@ among the instance's distinct event values, and since when.
 A run archive is a directory with one subdirectory per instance holding a
 ``<solver>.traj`` file (metadata line, event lines, sampled line) and the
 raw timestamped stdout capture in ``<solver>.log``, ``<solver>`` being the
-whole id with each run of characters outside ``[A-Za-z0-9._-]`` as ``_``;
+whole id with each character outside ``[A-Za-z0-9._-]`` written as the
+``%XX`` escapes of its UTF-8 bytes, so distinct ids name distinct files;
 parsing the raw log reproduces the recorded events exactly.  The sampled
 line is written from the events for other tools to read; reading a file
 checks only its width, and every sample comes from the events.
@@ -48,6 +49,7 @@ FINAL_ONLY = "final-only"
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
+_ESCAPED_RE = re.compile(r"[^A-Za-z0-9._-]")  # each character a solver's file name escapes
 _KILL_GRACE = 1.0  # seconds between SIGTERM and SIGKILL at the budget
 
 
@@ -115,12 +117,6 @@ class PortfolioConfig:
             raise ValueError("the portfolio has no solvers")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate solver ids in portfolio")
-        names: dict[str, str] = {}  # archive file name -> solver id
-        for sid in ids:
-            if sid in ("", ".", ".."):
-                raise ValueError(f"solver id {sid!r} cannot name an archive file")
-            if names.setdefault(name := _UNSAFE_RE.sub("_", sid), sid) != sid:
-                raise ValueError(f"solver ids {names[name]!r} and {sid!r} share the archive file name {name!r}")
 
     @property
     def solver_ids(self) -> list[str]:
@@ -400,8 +396,10 @@ class RunArchive:
                 _write_atomic(manifest, "".join(line + "\n" for line in lines))
 
     def _pair_path(self, instance_id: str, solver_id: str, suffix: str = ".traj") -> Path:
-        # the suffix follows the whole name, which may hold dots of its own
-        return self.root / instance_id / (_UNSAFE_RE.sub("_", solver_id) + suffix)
+        # percent-encoding is injective, and the suffix, which follows the
+        # whole name, keeps it from being '.' or '..'
+        name = _ESCAPED_RE.sub(lambda m: "".join(f"%{b:02X}" for b in m[0].encode("utf-8", "surrogatepass")), solver_id)
+        return self.root / instance_id / (name + suffix)
 
     def register_instance(self, instance_id: str, benchmark_id: str, path: str) -> None:
         """Add an instance to the manifest; registering it again is a no-op.
@@ -462,7 +460,7 @@ class RunArchive:
         out = []
         for err in sorted(self.root.glob("*/*.error")):
             # a metadata line holds the solver id, which the file name holds
-            # sanitized; a file of an earlier version holds the message alone
+            # encoded; a file of an earlier version holds the message alone
             text = err.read_text()
             meta, message = text.split("\n", 1) if text.startswith('{"solver"') else ("{}", text)
             out.append((err.parent.name, json.loads(meta).get("solver", err.stem), message.strip()))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pbselect import opb
 from pbselect.opb import (
     Constraint,
     Instance,
@@ -368,6 +369,29 @@ def test_array_reader_matches_line_reader_on_a_served_size_document(tmp_path, ba
     ends = [m.end() for m in re.finditer(rb";\n", data)]
     at = {"first": 0, "middle": ends[len(ends) // 2], "last": len(data)}[bad_line]
     assert not _assert_same(data[:at] + b"+1 x1 >= y ;\n" + data[at:])
+
+
+# A failed check that names the token or term where it failed hands the
+# locator that token's byte, and the locator reads the statements up to it
+# first: each document with the text at the byte handed over.
+_HINTED = [
+    ("width", "min: +1 x1 ;\n+1 x2 >= 1 ;\n+1 x1 + x2 >= 1 ;\n+1 x3 x ~x4 >= 1 ;\n", "+ x2 >= 1"),
+    ("repeat", "+1 x2 >= 1 ;\n+1 x3 +2 x1 x1 >= 1 ;\n+1 x2 x2 >= 1 ;\n", "+2 x1 x1"),
+    ("repeat before the objective", "+1 x1 >= 1 ;\n+1 x4 x4 >= 1 ;\nmin: +1 x3 x3 ;\n", "+1 x4 x4"),
+]
+
+
+@pytest.mark.parametrize("check,doc,hinted", _HINTED, ids=[check for check, _, _ in _HINTED])
+def test_a_failed_check_hands_the_locator_its_first_failure(check, doc, hinted, monkeypatch):
+    hints, locate = [], opb._locate
+
+    def spy(tokens, hint=0, kinds=None):
+        hints.append(hint)
+        return locate(tokens, hint, kinds)
+
+    monkeypatch.setattr(opb, "_locate", spy)
+    assert not _assert_same(doc)
+    assert hints == [doc.index(hinted) + 1]  # the reader puts a line end before the document
 
 
 # Documents that the ASCII grammar reads otherwise than the line-by-line

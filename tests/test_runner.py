@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from pbselect import runner
 from pbselect.grid import make_grid
 from pbselect.runner import (
     AdapterError,
@@ -334,7 +335,7 @@ def test_successful_write_clears_stale_failure(tmp_path):
 def test_failures_name_the_solver_id_not_its_file_name(tmp_path):
     grid = make_grid(2, 10.0, 1.0)
     RunArchive(tmp_path / "a", grid).record_failure("i", "s,1", "boom\nat launch")
-    assert (tmp_path / "a" / "i" / "s_1.error").exists()
+    assert (tmp_path / "a" / "i" / "s%2C1.error").exists()
     assert RunArchive(tmp_path / "a").failures() == [("i", "s,1", "boom\nat launch")]
     # a file written before the id was stored holds the message alone
     (tmp_path / "a" / "j").mkdir()
@@ -359,6 +360,89 @@ def test_interrupted_archive_writes_leave_no_partial_file(tmp_path, monkeypatch)
     assert RunArchive(tmp_path / "b", grid).grid.params() == grid.params()
     assert RunArchive(tmp_path / "a").failures() == [("i", "s", "first failure")]
     assert sorted(p.name for p in (tmp_path / "a").rglob("*")) == ["grid.json", "i", "s.error"]
+
+
+class _TornAppend:
+    """A file opened for appending whose first write stops halfway and raises."""
+
+    def __init__(self, fh, number):
+        self.fh, self.number = fh, number
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(f"crash at append call {self.number}")
+
+
+def _count_writes(m, crash=None):
+    """Patch os.replace, os.fsync and the archive's manifest append (its
+    ``open`` in mode 'a') to count their calls; the call named by ``crash``,
+    a (name, number) pair, raises OSError instead, and an append does so
+    after writing half its line.  Returns the counts."""
+    calls = {"replace": 0, "fsync": 0, "append": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            if name == "append" and args[1:2] != ("a",):
+                return real(*args, **kwargs)
+            calls[name] += 1
+            if (name, calls[name]) != crash:
+                return real(*args, **kwargs)
+            if name == "append":
+                return _TornAppend(real(*args, **kwargs), calls[name])
+            raise OSError(f"crash at {name} call {calls[name]}")
+
+        return call
+
+    m.setattr(os, "replace", counted("replace", os.replace))
+    m.setattr(os, "fsync", counted("fsync", os.fsync))
+    m.setattr(runner, "open", counted("append", open), raising=False)
+    return calls
+
+
+def _archive_state(archive, solver_ids):
+    """Everything a resumed run must reproduce: the files, the manifest,
+    each trajectory but its timestamps, and the failures."""
+    files = sorted(str(p.relative_to(archive.root)) for p in archive.root.rglob("*"))
+    trajectories = {}
+    for iid, _, _ in archive.instances():
+        for sid in filter(lambda sid: archive.has(iid, sid), solver_ids):
+            t = archive.read_trajectory(iid, sid)
+            trajectories[iid, sid] = (t.solver_id, t.instance_id, [v for _, v in t.events], t.status)
+    manifest = (archive.root / "instances.tsv").read_text().splitlines()
+    return files, manifest, trajectories, archive.failures()
+
+
+def test_run_portfolio_resumes_to_the_same_archive_after_a_crash_at_any_write(tmp_path, monkeypatch):
+    # every call of os.replace, os.fsync and the manifest append is a crash
+    # point, enumerated as ALICE does (Pillai et al., OSDI 2014)
+    grid = make_grid(2, 1.0, 0.2)
+    portfolio = PortfolioConfig(adapters=[
+        SolverAdapter("s,1", ("sh", "-c", "echo o 7; echo o 4")),
+        SolverAdapter("ghost", ("/nonexistent/solver", "{instance}")),
+    ])
+    paths = _instances(tmp_path, n=2)
+    with monkeypatch.context() as m:
+        counts = _count_writes(m)
+        archive = run_portfolio(portfolio, paths, grid, tmp_path / "uninterrupted")
+    reference = _archive_state(archive, portfolio.solver_ids)
+    assert counts == {"replace": 7, "fsync": 7, "append": 2}  # grid.json, 2 x (.log, .traj), 2 x .error
+    assert len(reference[2]) == 2 and len(reference[3]) == 2
+    for name, count in counts.items():
+        for k in range(1, count + 1):
+            root = tmp_path / f"{name}-{k}"
+            with monkeypatch.context() as m:
+                _count_writes(m, crash=(name, k))
+                with pytest.raises(OSError, match=f"crash at {name} call {k}"):
+                    run_portfolio(portfolio, paths, grid, root)
+            assert not list(root.rglob("*.tmp"))
+            state = _archive_state(run_portfolio(portfolio, paths, grid, root), portfolio.solver_ids)
+            assert state == reference, (name, k)
 
 
 def test_read_trajectory_checks_whole_grid(tmp_path):
@@ -455,15 +539,52 @@ def test_dotted_solver_ids_keep_their_own_files(tmp_path):
     assert not archive.has(iid, "v2.1")
 
 
+def test_every_solver_id_names_its_own_files_inside_its_instance_directory(tmp_path):
+    # each character outside [A-Za-z0-9._-] is written as the %XX escapes
+    # of its UTF-8 bytes, '%' included, so no two ids share a name
+    names = {"": "", ".": ".", "..": "..", "s,1": "s%2C1", "s;1": "s%3B1", "a,": "a%2C",
+             "a%2C": "a%252C", "é": "%C3%A9", "x/y": "x%2Fy"}
+    grid = make_grid(2, 1.0, 0.2)
+    adapters = [SolverAdapter(sid, ("sh", "-c", f"echo o {v}")) for v, sid in enumerate(names, 1)]
+    archive = run_portfolio(PortfolioConfig(adapters=adapters), _instances(tmp_path, n=1), grid, tmp_path / "arch")
+    ((iid, _, _),) = archive.instances()
+    files = [f"{iid}/{name}{suffix}" for name in names.values() for suffix in (".log", ".traj")]
+    assert sorted(str(p.relative_to(archive.root)) for p in archive.root.rglob("*")) == sorted(
+        ["grid.json", "instances.tsv", iid] + files
+    )
+    for v, sid in enumerate(names, 1):
+        traj = archive.read_trajectory(iid, sid)
+        assert (traj.solver_id, [value for _, value in traj.events]) == (sid, [v])
+        archive.record_failure(iid, sid, f"failure of {sid!r}")
+    assert sorted(archive.failures()) == sorted((iid, sid, f"failure of {sid!r}") for sid in names)
+    # a lone surrogate, which strict UTF-8 cannot encode, and an astral
+    # character, as its four UTF-8 bytes
+    assert archive._pair_path(iid, "\ud800").name == "%ED%A0%80.traj"
+    assert archive._pair_path(iid, "\U0001F600").name == "%F0%9F%98%80.traj"
+    ids = list(names)
+    for k, sid in enumerate(ids):
+        archive._pair_path(iid, sid).unlink()
+        assert [archive.has(iid, other) for other in ids] == [i > k for i in range(len(ids))]
+
+
 @pytest.mark.parametrize("sid", ["", ".", ".."], ids=["empty", "dot", "dot-dot"])
-def test_solver_id_that_names_no_file_is_rejected(sid):
-    with pytest.raises(ValueError, match="cannot name an archive file"):
-        PortfolioConfig(adapters=[SolverAdapter("a", "true"), SolverAdapter(sid, "true")])
+def test_solver_id_that_named_no_file_gets_one(tmp_path, sid):
+    # the suffix keeps each name a file of its own in the instance directory
+    PortfolioConfig(adapters=[SolverAdapter("a", "true"), SolverAdapter(sid, "true")])
+    archive = RunArchive(tmp_path / "a", make_grid(2, 10.0, 1.0))
+    archive.write_trajectory(_traj(((0.5, 3),), solver=sid))
+    assert [p.name for p in (archive.root / "i").iterdir()] == [f"{sid}.traj"]
+    assert archive.read_trajectory("i", sid).solver_id == sid
+    assert archive.has("i", sid) and not archive.has("i", "a")
 
 
-def test_solver_ids_that_share_a_file_name_are_rejected():
-    with pytest.raises(ValueError, match="solver ids 's,1' and 's;1' share the archive file name 's_1'"):
-        PortfolioConfig(adapters=[SolverAdapter("s,1", "true"), SolverAdapter("s;1", "true")])
+def test_solver_ids_that_shared_a_file_name_get_their_own(tmp_path):
+    PortfolioConfig(adapters=[SolverAdapter("s,1", "true"), SolverAdapter("s;1", "true")])
+    archive = RunArchive(tmp_path / "a", make_grid(2, 10.0, 1.0))
+    for sid, value in (("s,1", 3), ("s;1", 5)):
+        archive.write_trajectory(_traj(((0.5, value),), solver=sid))
+    assert sorted(p.name for p in (archive.root / "i").iterdir()) == ["s%2C1.traj", "s%3B1.traj"]
+    assert [archive.read_trajectory("i", sid).events for sid in ("s,1", "s;1")] == [((0.5, 3),), ((0.5, 5),)]
 
 
 def test_empty_portfolio_rejected(tmp_path):
