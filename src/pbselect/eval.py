@@ -131,6 +131,8 @@ def build_context(ds: LabeledDataset, archive: RunArchive) -> EvalContext:
     """Load the trajectories of the test instances, in dataset order."""
     if not ds.split:
         raise ValueError("dataset has no train/test split yet")
+    if archive.grid.params() != ds.grid.params():
+        raise ValueError(f"archive grid {archive.grid.params()} differs from the dataset grid {ds.grid.params()}")
     ids = [iid for iid, keep in zip(ds.instance_ids, ds.part_mask(TEST)) if keep]
     trajectories = {
         iid: {sid: archive.read_trajectory(iid, sid) for sid in ds.solver_order}

@@ -3,16 +3,16 @@
 Scores start at the class log-priors.  Each stage fits one shallow
 regression tree per class to that class's negative gradient (one-hot minus
 softmax probability, scaled by the row weight); leaf values are a single
-Newton step, and the learning rate scales every update.  The weighted
-training loss after each stage is kept on the fitted model, not in its
-file, so the expected monotone decrease can be checked.  The class trees
+Newton step, and the learning rate scales every update.  The class trees
 of a stage depend only on the stage's probabilities, so they grow as one
-batch of :meth:`EnsembleBuilder.grow`; stages grow one after another.
+batch of :meth:`EnsembleBuilder.grow`; stages grow one after another.  The
+fit keeps only the initial scores, the learning rate and the trees; the
+model cut after any stage's trees scores as the fit did after that stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class GradientBoostingModel:
     init_scores: list[float]
     trees: TreeEnsemble  # stage-major, one regression tree per class per stage
     learning_rate: float
-    # set by the fit; a loaded model has none
-    train_losses: list[float] = field(init=False, default_factory=list, repr=False)
 
     def _scores(self, values: np.ndarray) -> np.ndarray:
         # (stage, class, row) terms after the initial scores, summed in stage order
@@ -53,11 +51,6 @@ class GradientBoostingModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.trees.apply(X, self._scores))
-
-
-def _weighted_cross_entropy(probs: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    p = np.clip(probs[np.arange(len(y)), y], 1e-15, None)
-    return float((w * -np.log(p)).sum() / w.sum())
 
 
 def fit_gradient_boosting(
@@ -86,14 +79,13 @@ def fit_gradient_boosting(
 
     scores = np.tile(init_scores, (n, 1))
     probs = softmax(scores)
-    losses = [_weighted_cross_entropy(probs, y, w)]
     builder = EnsembleBuilder(X, 1)
     rows = np.arange(n)
     newton_scale = (n_classes - 1) / n_classes
     for m in range(n_estimators):
         residuals = np.subtract(onehot.T, probs.T, out=np.empty((n_classes, n)))
         stage = Sse(residuals, w)
-        first = len(builder.values)
+        first = len(builder.trees)
         builder.grow(
             stage, [(tree_rng(seed, m, c), rows) for c in range(n_classes)],
             max_depth=max_depth, max_features=max_features,
@@ -101,7 +93,7 @@ def fit_gradient_boosting(
         for c in range(n_classes):
             residual, leaf_of = residuals[c], stage.leaf_of[c]
             # one Newton step per leaf, written into the tree's zero values
-            values = builder.values[first + c][:, 0]
+            values = builder.trees[first + c].values[:, 0]
             num = np.bincount(leaf_of, weights=w * residual, minlength=len(values))
             hess = np.abs(residual) * (1.0 - np.abs(residual))
             den = np.bincount(leaf_of, weights=w * hess, minlength=len(values))
@@ -109,10 +101,5 @@ def fit_gradient_boosting(
             values[nz] = newton_scale * num[nz] / den[nz]
             scores[:, c] += learning_rate * values[leaf_of]
         probs = softmax(scores)
-        losses.append(_weighted_cross_entropy(probs, y, w))
 
-    model = GradientBoostingModel(
-        init_scores=init_scores.tolist(), trees=builder.build(), learning_rate=learning_rate
-    )
-    model.train_losses = losses
-    return model
+    return GradientBoostingModel(init_scores=init_scores.tolist(), trees=builder.build(), learning_rate=learning_rate)

@@ -16,8 +16,10 @@ from its own generator, at the nodes and in the preorder that growing it
 alone would visit, so its nodes, numbering and random stream do not
 depend on the batch.  A batch holds trees while their samples fit in
 ``_BATCH_ROWS`` rows, taking the next tree as one finishes; a step
-searches chunks of about ``_STEP_CELLS`` cells; finished trees join the
-table in tree order.
+searches chunks of about ``_STEP_CELLS`` cells.  The builder keeps one
+record per tree, in tree order: a tree joins ``EnsembleBuilder.trees`` as it
+joins a batch, keeps node arrays and drops its generator once finished, and
+:meth:`EnsembleBuilder.build` concatenates the records into one table.
 
 Both criteria give the scores of a sort-and-cumsum scan of each node bit
 for bit, on column codes (each value's rank among its column's distinct
@@ -294,8 +296,10 @@ class TreeEnsemble:
 
 
 class _Tree:
-    """A growing tree: its generator, its depth-first stack of (rows, depth,
-    node, criterion state) and its node lists, numbered within the tree."""
+    """One tree of an ensemble, its nodes numbered within the tree.  While
+    it grows it holds its generator, its depth-first stack of (rows, depth,
+    node, criterion state) and node lists; once its stack is empty it holds
+    node arrays and no generator."""
 
     def __init__(self, index: int, rng: np.random.Generator, root: tuple, n_features: int, zeros: list):
         self.index = index
@@ -317,10 +321,17 @@ class _Tree:
         self.values += [self._zeros, self._zeros]
         return left, left + 1
 
+    def finish(self) -> None:
+        self.feature = np.array(self.feature, dtype=np.intp)
+        self.threshold = np.array(self.threshold, dtype=np.float64)
+        self.left = np.array(self.left, dtype=np.intp)
+        self.right = np.array(self.right, dtype=np.intp)
+        self.values = np.array(self.values, dtype=np.float64).reshape(-1, len(self._zeros))
+        self.rng = None
+
 
 class EnsembleBuilder:
-    """The trees of one ensemble, fitted on ``X``: each finished tree's node
-    arrays, numbered within the tree, in tree order."""
+    """The trees of one ensemble, fitted on ``X``, in tree order."""
 
     def __init__(self, X: np.ndarray, width: int):
         self.X = X = np.asarray(X, dtype=np.float64)
@@ -337,45 +348,30 @@ class EnsembleBuilder:
         self.width = np.array([len(values) for values in distinct], dtype=np.intp)
         self.offset = np.cumsum(self.width) - self.width
         self.distinct = np.concatenate(distinct + [np.zeros(0)])
-        self.feature: list[np.ndarray] = []
-        self.threshold: list[np.ndarray] = []
-        self.left: list[np.ndarray] = []
-        self.right: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []  # (nodes, width) per tree
-        self.importances: list[np.ndarray] = []
+        self.trees: list[_Tree] = []
         self._zeros = [0.0] * width
 
     def grow(self, criterion: Gini | Sse, trees, max_depth: int | None = None, max_features="sqrt") -> None:
         """Grow ``trees``, an iterable of (generator, sample rows of ``X``),
-        in lockstep, and add them to the table in iteration order."""
+        in lockstep, and add them to :attr:`trees` in iteration order."""
         m = features_per_node(max_features, self.n_features)
         capacity = max(1, _BATCH_ROWS // max(1, len(self.X)))
         queue = enumerate(trees)
         growing: list[_Tree] = []
-        done: dict[int, _Tree] = {}
-        added = 0
         while True:
             for index, (rng, rows) in itertools.islice(queue, capacity - len(growing)):
                 if len(rows) == 0:
                     raise ValueError("cannot fit a tree on an empty sample")
                 root = (rows, 0, 0, criterion.root(index, rows))
                 growing.append(_Tree(index, rng, root, self.n_features, self._zeros))
+                self.trees.append(growing[-1])
             if not growing:
                 break
             self._step(criterion, growing, m, max_depth)
-            done.update((tree.index, tree) for tree in growing if not tree.stack)
+            for tree in growing:
+                if not tree.stack:
+                    tree.finish()
             growing = [tree for tree in growing if tree.stack]
-            while added in done:
-                self._add(done.pop(added))
-                added += 1
-
-    def _add(self, tree: _Tree) -> None:
-        self.feature.append(np.array(tree.feature, dtype=np.intp))
-        self.threshold.append(np.array(tree.threshold, dtype=np.float64))
-        self.left.append(np.array(tree.left, dtype=np.intp))
-        self.right.append(np.array(tree.right, dtype=np.intp))
-        self.values.append(np.array(tree.values, dtype=np.float64).reshape(-1, len(self._zeros)))
-        self.importances.append(tree.importances)
 
     def _step(self, criterion: Gini | Sse, growing: list[_Tree], m: int | None, max_depth: int | None) -> None:
         """Pop one node of every growing tree, then split it or make it a leaf."""
@@ -412,14 +408,14 @@ class EnsembleBuilder:
         return rng.choice(self.n_features, size=m, replace=False)
 
     def build(self) -> TreeEnsemble:
-        roots = np.cumsum([0] + [len(feature) for feature in self.feature], dtype=np.intp)
+        roots = np.cumsum([0] + [len(tree.feature) for tree in self.trees], dtype=np.intp)
         none = np.zeros(0, dtype=np.intp)
         return TreeEnsemble(
-            feature=np.concatenate(self.feature + [none]),
-            threshold=np.concatenate(self.threshold + [np.zeros(0)]),
-            left=np.concatenate([left + root for left, root in zip(self.left, roots)] + [none]),
-            right=np.concatenate([right + root for right, root in zip(self.right, roots)] + [none]),
+            feature=np.concatenate([tree.feature for tree in self.trees] + [none]),
+            threshold=np.concatenate([tree.threshold for tree in self.trees] + [np.zeros(0)]),
+            left=np.concatenate([tree.left + root for tree, root in zip(self.trees, roots)] + [none]),
+            right=np.concatenate([tree.right + root for tree, root in zip(self.trees, roots)] + [none]),
             roots=roots[:-1],
-            values=np.concatenate(self.values + [np.zeros((0, len(self._zeros)))]),
-            raw_importances=np.array(self.importances, dtype=np.float64).reshape(-1, self.n_features),
+            values=np.concatenate([tree.values for tree in self.trees] + [np.zeros((0, len(self._zeros)))]),
+            raw_importances=np.reshape([tree.importances for tree in self.trees], (-1, self.n_features)),
         )

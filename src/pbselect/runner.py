@@ -33,7 +33,6 @@ import string
 import subprocess
 import threading
 import time
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,20 +185,17 @@ def parse_events(
     return tuple(events)
 
 
-def last_events(events: tuple[tuple[float, int], ...], grid: TimestepGrid) -> list[int]:
-    """Index of the last event at or before each grid point, -1 before the first."""
-    index: list[int] = []
-    for i, (t, _) in enumerate(events):
-        # the points before the first one at or after t still hold event i - 1
-        index += [i - 1] * (bisect_left(grid.points, t, len(index)) - len(index))
-    return index + [len(events) - 1] * (grid.count - len(index))
+def last_events(events: tuple[tuple[float, int], ...], points) -> np.ndarray:
+    """Index of the last event at or before each of the increasing time
+    ``points``, -1 before the first."""
+    return np.searchsorted([t for t, _ in events], points, side="right") - 1
 
 
 def sample_events(
     events: tuple[tuple[float, int], ...], grid: TimestepGrid
 ) -> tuple[int | None, ...]:
     """Step-function sample: best value among events at time <= t_j."""
-    return tuple(events[i][1] if i >= 0 else None for i in last_events(events, grid))
+    return tuple(events[i][1] if i >= 0 else None for i in last_events(events, grid.points).tolist())
 
 
 def held_ranks(trajs: list[Trajectory], grid: TimestepGrid) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -213,8 +209,9 @@ def held_ranks(trajs: list[Trajectory], grid: TimestepGrid) -> tuple[np.ndarray,
     rank = {v: r for r, v in enumerate(distinct)}
     ranks = np.empty((grid.count, len(trajs)), dtype=np.intp)
     times = np.empty((grid.count, len(trajs)))
+    points = np.array(grid.points)
     for s, t in enumerate(trajs):
-        held = np.array(last_events(t.events, grid))  # -1 picks the appended "nothing yet"
+        held = last_events(t.events, points)  # -1 picks the appended "nothing yet"
         ranks[:, s] = np.array([rank[v] for _, v in t.events] + [-1], dtype=np.intp)[held]
         times[:, s] = np.array([at for at, _ in t.events] + [np.nan])[held]
     return ranks, times, distinct
@@ -367,7 +364,6 @@ class RunArchive:
 
     def __init__(self, root: str | Path, grid: TimestepGrid | None = None):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         grid_file = self.root / "grid.json"
         if grid_file.exists():
             stored = json.loads(grid_file.read_text())
@@ -378,6 +374,7 @@ class RunArchive:
         else:
             if grid is None:
                 raise ValueError(f"no grid.json in {self.root} and no grid given")
+            self.root.mkdir(parents=True, exist_ok=True)
             _write_atomic(grid_file, json.dumps(grid.params()) + "\n")
             self.grid = grid
         self._lock = threading.Lock()

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbselect.dataset import NO_SOLUTION, TEST, TRAIN, build_dataset
+from pbselect.dataset import NO_SOLUTION, TEST, TRAIN, build_dataset, split_by_benchmark
 from pbselect.eval import (
     DegeneratePortfolioError,
     EvalContext,
@@ -18,6 +18,7 @@ from pbselect.eval import (
     sbs_breakdown,
 )
 from pbselect.grid import make_grid
+from pbselect.learners import train_model
 from pbselect.runner import RunArchive, Trajectory, sample_events
 
 from gen import SOLVERS4, random_mini_archive, synthetic_corpus, synthetic_instance_text
@@ -493,3 +494,36 @@ def test_objectives_beyond_int64(tmp_path):
     want = _oracle_report(archive, order, paths, overheads)
     assert 0 < want["m"]["vbs"] < Fraction(1, 2**50)
     _check_report(report, want, order + [NO_SOLUTION])
+
+
+def _split_corpus(root, grid, n_instances=40):
+    """The seed-1 synthetic corpus on ``grid``, built with the basic schema and split with seed 3."""
+    archive = synthetic_corpus(root, random.Random(1), n_instances, grid)
+    return archive, split_by_benchmark(build_dataset(archive, "basic", SOLVERS4), 3)
+
+
+def test_evaluate_refuses_an_archive_recorded_on_another_grid(tmp_path):
+    archive, ds = _split_corpus(tmp_path / "coarse", make_grid(30, 100.0, 1.0))
+    other, _ = _split_corpus(tmp_path / "fine", make_grid(40, 3600.0, 0.01))
+    model = train_model(ds, "rf")
+    evaluate_selector(model, ds, archive)
+    with pytest.raises(ValueError, match=r"archive grid .*'count': 40.* differs from the dataset grid .*'count': 30"):
+        evaluate_selector(model, ds, other)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda model, ds: ds.split.clear(), "dataset has no train/test split yet"),
+    (lambda model, ds: model.vocabulary.reverse(), "model vocabulary does not match the dataset portfolio"),
+    (lambda model, ds: setattr(model, "schema", "linear"), "model schema/encoding does not match the dataset"),
+    (lambda model, ds: setattr(model, "encoding", "seconds"),
+     "model schema/encoding does not match the dataset"),
+    (lambda model, ds: model.params.update(grid=make_grid(4, 10.0, 1.0).params()),
+     "model was trained on a different timestep grid"),
+    (lambda model, ds: ds.split.update(dict.fromkeys(ds.split, TRAIN)), "dataset has no test rows"),
+])
+def test_evaluate_selector_refusals(tmp_path, spoil, message):
+    archive, ds = _split_corpus(tmp_path, make_grid(6, 100.0, 1.0), n_instances=10)
+    model = _FixedModel(ds)
+    spoil(model, ds)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_selector(model, ds, archive)

@@ -335,10 +335,16 @@ def test_gb_separable_data_high_accuracy():
 
 def test_gb_loss_non_increasing_at_quarter_rate():
     X, y = _blobs(250, seed=10, noise=0.1)
-    model = fit_gradient_boosting(X, y, 3, n_estimators=60, learning_rate=0.25, seed=3)
-    losses = model.train_losses
-    assert len(losses) == 61
-    assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+    for class_weight in (None, [1.0, 2.5, 0.4]):
+        model = fit_gradient_boosting(X, y, 3, n_estimators=60, learning_rate=0.25, seed=3, class_weight=class_weight)
+        w = np.asarray(class_weight or [1.0, 1.0, 1.0])[y]
+        losses = []
+        for stages in range(61):
+            # the model cut after a stage scores the training rows as the fit did then
+            cut = replace(model, trees=replace(model.trees, roots=model.trees.roots[:3 * stages]))
+            p = np.clip(cut.predict_proba(X)[np.arange(len(y)), y], 1e-15, None)
+            losses.append(float((w * -np.log(p)).sum() / w.sum()))
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
 def test_gb_single_class_rejected():

@@ -703,6 +703,12 @@ def test_torn_manifest_line_is_dropped_and_registered_again(cut, tmp_path, caplo
     assert RunArchive(root).instances() == archive.instances()
 
 
+def test_opening_a_missing_archive_creates_nothing(tmp_path):
+    with pytest.raises(ValueError, match="no grid.json"):
+        RunArchive(tmp_path / "missing" / "archive")
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("line", ["b0__j\tb0", "b0__j\tb0\tx/b0/j.opb\textra", ""])
 def test_malformed_manifest_line_is_an_error(line, tmp_path):
     archive = RunArchive(tmp_path / "a", make_grid(2, 10.0, 1.0))
