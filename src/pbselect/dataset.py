@@ -290,7 +290,8 @@ def read_csv(path: str | Path) -> LabeledDataset:
     (as for a file of an older layout, which must be built again), and,
     naming the instance, when a line has another width than the header,
     holds an unknown label or split part or a feature that is not a finite
-    float, or repeats an instance.
+    float, or repeats an instance, and when ``feature_seconds`` holds no
+    finite number >= 0 for an instance, or one for an instance of no line.
     """
     path = Path(path)
     meta = json.loads(_sidecar(path).read_text())
@@ -323,6 +324,10 @@ def read_csv(path: str | Path) -> LabeledDataset:
             except KeyError as exc:
                 raise ValueError(f"{path}: instance {iid} has unknown label {exc.args[0]!r}") from None
             lines[iid] = rec
+    for iid in [*lines, *(seconds := meta["feature_seconds"])]:
+        if iid not in lines or type(value := seconds.get(iid)) not in (int, float) or not 0 <= value < math.inf:
+            raise ValueError(f"{path}: instance {iid} has feature_seconds {seconds.get(iid)!r}; the sidecar "
+                             "must hold one finite number >= 0 for each line's instance and for no other")
     return LabeledDataset(
         instance_ids=list(lines),
         benchmark_ids=[rec[0] for rec in lines.values()],
@@ -333,6 +338,6 @@ def read_csv(path: str | Path) -> LabeledDataset:
         grid=grid,
         solver_order=solvers,
         split={iid: rec[2] for iid, rec in lines.items() if rec[2]},
-        feature_seconds={k: float(v) for k, v in meta["feature_seconds"].items()},
+        feature_seconds={iid: float(seconds[iid]) for iid in lines},
         skipped=[tuple(pair) for pair in meta["skipped"]],
     )

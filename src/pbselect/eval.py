@@ -234,7 +234,7 @@ def evaluate_selector(
         raise ValueError("model vocabulary does not match the dataset portfolio")
     if model.schema != ds.schema or model.encoding != ds.encoding:
         raise ValueError("model schema/encoding does not match the dataset")
-    if model.params.get("grid", ds.grid.params()) != ds.grid.params():
+    if model.params["grid"] != ds.grid.params():
         raise ValueError("model was trained on a different timestep grid")
 
     ctx = build_context(ds, archive)
@@ -264,7 +264,7 @@ def evaluate_selector(
         row = tuple(X[i * ds.grid.count].tolist())
         t0 = time.perf_counter()
         model.predict_values(row)
-        seconds[i] = ds.feature_seconds.get(iid, 0.0) + (time.perf_counter() - t0)
+        seconds[i] = ds.feature_seconds[iid] + (time.perf_counter() - t0)
     overhead_values, _ = ctx.choose(labels, seconds)
     m_ms_overhead = ctx.metric(overhead_values)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 DEFAULT_COUNT = 500
 DEFAULT_HORIZON = 3600.0
@@ -27,6 +28,7 @@ class TimestepGrid:
         return {"count": self.count, "horizon": self.horizon, "t_min": self.t_min}
 
 
+@lru_cache(maxsize=16, typed=True)  # immutable; a model's grid is built on load and again to predict
 def make_grid(
     count: int = DEFAULT_COUNT,
     horizon: float = DEFAULT_HORIZON,

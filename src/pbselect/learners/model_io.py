@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..features import SCHEMAS
+from ..grid import make_grid
 from .boosting import GradientBoostingModel
 from .forest import ForestModel
 from .knn import KnnModel
@@ -178,6 +179,10 @@ class TrainedModel:
         stored = {**header["model"], **_views(data, len(line) + 1, header["arrays"], path)}
         if header["family"] not in _MODEL_TYPES:
             raise ValueError(f"unknown model family {header['family']!r}")
+        try:
+            make_grid(**header["params"]["grid"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: params hold no valid timestep grid ({type(exc).__name__}: {exc})") from None
         model = _unflatten(_MODEL_TYPES[header["family"]], stored)
         return cls(model=model, **{key: header[key] for key in _HEADER_FIELDS})
 

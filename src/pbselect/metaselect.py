@@ -24,7 +24,7 @@ from .features import encode_timestep, extract
 from .grid import make_grid
 from .learners import TrainedModel
 from .opb import Instance, parse_opb_file
-from .runner import AdapterError, PortfolioConfig, parse_events, run_adapter
+from .runner import AdapterError, PortfolioConfig, run_adapter
 
 logger = logging.getLogger(__name__)
 
@@ -123,14 +123,12 @@ def solve(
             chosen = max((s for s in portfolio.solver_ids if s in probabilities), key=probabilities.__getitem__)
             logger.info("NO_SOLUTION predicted; falling back to %s", chosen)
         outcome.chosen_solver = chosen
-        adapter = portfolio.by_id(chosen)
         try:
-            lines, status = run_adapter(adapter, instance_path, remaining)
+            lines, events, status = run_adapter(portfolio.by_id(chosen), instance_path, remaining)
         except AdapterError as exc:
             logger.error("%s", exc)
             outcome.exit_condition = SOLVER_FAILED
         else:
-            events = parse_events(lines, adapter.parse_mode, remaining)
             if events:
                 outcome.incumbent_seconds, outcome.objective = events[-1]
             outcome.exit_condition = SOLVER_FAILED if status == "crashed" and not events else OK

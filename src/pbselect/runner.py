@@ -2,10 +2,10 @@
 
 Adapters are external executables that follow the competition output
 convention: a line ``o <integer>`` on standard output announces a new
-incumbent objective value; everything else is ignored.  The harness
-timestamps each line against process spawn, terminates the child's whole
-process group at the budget (hard kill after a 1 s grace period), keeps
-strictly improving events only, and samples them onto a
+incumbent objective value; everything else is ignored.  :func:`run_adapter`
+timestamps each line against process spawn, ends the child's whole process
+group on every exit (hard kill after a 1 s grace period at the budget) and
+returns the lines with their strictly improving events, which sample onto a
 :class:`~pbselect.grid.TimestepGrid` as a step function (best value
 achieved at or before each grid point).  Labeling and evaluation both read
 :func:`held_ranks`: what each solver holds at each grid point, as a rank
@@ -226,22 +226,23 @@ def _signal_group(pgid: int, sig: int) -> None:
 
 def run_adapter(
     adapter: SolverAdapter, instance_path: str | Path, budget: float
-) -> tuple[list[tuple[float, str]], str]:
-    """Launch the adapter and capture timestamped stdout lines.
+) -> tuple[list[tuple[float, str]], tuple[tuple[float, int], ...], str]:
+    """Run the adapter: its timestamped stdout lines, their events, a status.
 
     The child runs in a new session, so its process group holds everything
     it starts.  The group gets ``budget`` seconds from spawn; whatever of it
     still runs or holds standard output then gets SIGTERM and, once standard
-    output is closed or one second has passed, SIGKILL.  A reader thread
-    reads standard output to its end, then reaps the child; the caller waits
-    for that thread alone.  Returns the captured lines and a status:
-    "killed" when the budget kill fired, otherwise "ok" for exit code 0 and
-    "crashed" for any other.
+    output is closed or one second has passed, SIGKILL; so does every other
+    exit after the launch, an interrupted wait among them.  A reader thread
+    reads standard output to its end, reaps the child and sets an event, the
+    one thing the caller waits for: an interrupted join can leave a running
+    thread marked stopped.  The events are :func:`parse_events`' with the
+    budget as horizon; the status is "killed" when the budget kill fired,
+    otherwise "ok" for exit code 0 and "crashed" for any other.
     """
-    argv = adapter.argv(str(instance_path), budget)
     try:
         proc = subprocess.Popen(
-            argv,
+            adapter.argv(str(instance_path), budget),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
@@ -253,41 +254,29 @@ def run_adapter(
 
     start = time.monotonic()
     lines: list[tuple[float, str]] = []
+    done = threading.Event()
 
     def _pump():
-        assert proc.stdout is not None
         for raw in proc.stdout:
             lines.append((round(time.monotonic() - start, 6), raw.rstrip("\r\n")))
         proc.wait()  # blocks in waitpid; Popen.wait(timeout) would poll with sleeps
+        done.set()
 
     reader = threading.Thread(target=_pump, daemon=True)
-    reader.start()
-    # stdout stays open while any process of the group holds it, so a
-    # grandchild can keep the reader going after the child has exited
-    reader.join(timeout=max(0.0, start + budget - time.monotonic()))
-    killed = reader.is_alive()
-    if killed:
-        _signal_group(proc.pid, signal.SIGTERM)
-        reader.join(timeout=_KILL_GRACE)
-        _signal_group(proc.pid, signal.SIGKILL)
-    reader.join()
-    proc.stdout.close()
-    return lines, "killed" if killed else "ok" if proc.returncode == 0 else "crashed"
-
-
-def run_solver(
-    adapter: SolverAdapter, instance_path: str | Path, grid: TimestepGrid, instance_id: str = ""
-) -> tuple[Trajectory, list[tuple[float, str]]]:
-    """Run one adapter for the grid horizon; returns (trajectory, raw lines)."""
-    lines, status = run_adapter(adapter, instance_path, grid.horizon)
-    events = parse_events(lines, adapter.parse_mode, grid.horizon)
-    traj = Trajectory(
-        solver_id=adapter.solver_id,
-        instance_id=instance_id or Path(instance_path).stem,
-        events=events,
-        status=status,
-    )
-    return traj, lines
+    try:
+        reader.start()
+        # stdout stays open while any process of the group holds it, so a
+        # grandchild can keep the reader going after the child has exited
+        killed = not done.wait(max(0.0, start + budget - time.monotonic()))
+    finally:
+        if not done.is_set():
+            _signal_group(proc.pid, signal.SIGTERM)
+            done.wait(_KILL_GRACE)
+            _signal_group(proc.pid, signal.SIGKILL)
+        reader.join()
+        proc.stdout.close()
+    status = "killed" if killed else "ok" if proc.returncode == 0 else "crashed"
+    return lines, parse_events(lines, adapter.parse_mode, budget), status
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +480,8 @@ def run_portfolio(
     def _work(job):
         adapter, path, iid = job
         try:
-            traj, raw = run_solver(adapter, path, grid, instance_id=iid)
-            archive.write_trajectory(traj, raw)
+            lines, events, status = run_adapter(adapter, path, grid.horizon)
+            archive.write_trajectory(Trajectory(adapter.solver_id, iid, events, status), lines)
         except AdapterError as exc:
             archive.record_failure(iid, adapter.solver_id, str(exc))
 

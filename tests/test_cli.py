@@ -3,7 +3,13 @@ import io
 import json
 import logging
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +186,39 @@ def test_solve_prints_outcome_and_exit_code(
     assert main(_solve_argv(tmp_path, opb_file, labels, script, budget)) == code
     record = json.loads(capsys.readouterr().out)
     assert (record["exit_condition"], record["objective"]) == (condition, objective)
+
+
+def test_interrupted_solve_ends_the_solver_process_group(tmp_path, opb_file):
+    # the solver runs in its own session, so the terminal's Ctrl-C reaches
+    # pbselect alone: pbselect must end the solver's group on its way out
+    pid_file = tmp_path / "solver.pid"
+    script = f"echo $$ > {pid_file}.tmp && mv {pid_file}.tmp {pid_file}; exec sleep 30"
+    argv = _solve_argv(tmp_path, opb_file, ["a"], script, budget="60")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "pbselect.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    pgid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "the solver never started"
+            time.sleep(0.01)
+        pgid = int(pid_file.read_text())  # its pid: the solver leads its own group
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+        assert b"KeyboardInterrupt" in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pgid, 0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+        if pgid is not None:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf])

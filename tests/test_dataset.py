@@ -469,3 +469,33 @@ def test_read_csv_rejects_a_feature_that_is_not_a_finite_float(cell, tmp_path):
     with pytest.raises(ValueError) as info:
         read_csv(out)
     assert str(info.value) == f"{out}: instance {iid} has feature {name} = {cell!r}, not a finite float"
+
+
+# how each case edits the sidecar's feature_seconds of instance ``iid``
+_BAD_SECONDS = {
+    "missing": lambda seconds, iid: seconds.pop(iid),
+    "no-line": lambda seconds, iid: seconds.update({iid + "x": 0.5}),
+    "negative": lambda seconds, iid: seconds.update({iid: -0.001}),
+    "nan": lambda seconds, iid: seconds.update({iid: math.nan}),
+    "inf": lambda seconds, iid: seconds.update({iid: math.inf}),
+    "string": lambda seconds, iid: seconds.update({iid: "0.5"}),
+    "bool": lambda seconds, iid: seconds.update({iid: True}),
+    "null": lambda seconds, iid: seconds.update({iid: None}),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SECONDS))
+def test_read_csv_rejects_feature_seconds_that_charge_no_line_or_no_overhead(case, tmp_path):
+    # the evaluator charges each instance its recorded feature seconds: a
+    # missing entry would charge none, and an entry of no line is stale
+    ds = split_by_benchmark(_dataset_with_benchmarks(tmp_path, [3]), seed=1)
+    out = tmp_path / "data.csv"
+    write_csv(ds, out)
+    sidecar = out.with_suffix(".meta.json")
+    meta = json.loads(sidecar.read_text())
+    iid = ds.instance_ids[1]
+    _BAD_SECONDS[case](meta["feature_seconds"], iid)
+    sidecar.write_text(json.dumps(meta))
+    named = iid + "x" if case == "no-line" else iid
+    with pytest.raises(ValueError, match=f"instance {named} has feature_seconds"):
+        read_csv(out)

@@ -685,6 +685,22 @@ def test_trained_model_version_check(tmp_path):
         TrainedModel.load(path)
 
 
+@pytest.mark.parametrize("params", [
+    {}, {"grid": None}, {"grid": {"count": 1, "horizon": 100.0, "t_min": 1.0}},
+    {"grid": {"count": 4, "horizon": 1.0, "t_min": 100.0}}, {"grid": {"count": "4", "horizon": 100.0, "t_min": 1.0}},
+    {"grid": {"count": 4, "horizon": 100.0, "t_min": 1.0, "step": 2}}, [],
+], ids=["no-grid", "null", "one-point", "t_min-above-horizon", "string-count", "unknown-key", "list"])
+def test_load_rejects_params_that_hold_no_timestep_grid(params, tmp_path):
+    # ``solve`` maps its budget onto the model's grid, and ``evaluate``
+    # compares it with the dataset's: a model without one would fail there
+    path = tmp_path / "model.model"
+    _trained("knn").save(path)
+    _rewrite_header(path, params=params)
+    with pytest.raises(ValueError, match="params hold no valid timestep grid") as info:
+        TrainedModel.load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("layout", ["whole-file", "zip-header", "header-line"])
 @pytest.mark.parametrize("content", [b"\x80\x81 not UTF-8", b"plain text", b'["a", "JSON", "list"]'],
                          ids=["binary", "text", "json-list"])

@@ -3,7 +3,9 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
+import threading
 import time
 
 import pytest
@@ -22,7 +24,6 @@ from pbselect.runner import (
     raw_log_to_text,
     run_adapter,
     run_portfolio,
-    run_solver,
     sample_events,
     trajectory_from_text,
     trajectory_to_text,
@@ -170,37 +171,56 @@ def test_raw_log_reproduces_events_exactly():
 # --- live subprocess runs ------------------------------------------------------
 
 
-def test_run_solver_records_stream(stub_solver, opb_file):
+def test_run_adapter_records_stream(stub_solver, opb_file):
     grid = make_grid(3, 4.0, 0.5)
     adapter = SolverAdapter("fast", stub_solver("0:o 12|0.05:o 7"))
-    traj, raw = run_solver(adapter, opb_file, grid, instance_id="toy")
-    assert [v for _, v in traj.events] == [12, 7]
-    assert sample_events(traj.events, grid) == (7, 7, 7)  # both events land before the 0.5 s point
-    assert traj.status == "ok"
-    assert parse_events(raw, "event-stream", grid.horizon) == traj.events
+    raw, events, status = run_adapter(adapter, opb_file, grid.horizon)
+    assert [v for _, v in events] == [12, 7]
+    assert sample_events(events, grid) == (7, 7, 7)  # both events land before the 0.5 s point
+    assert status == "ok"
+    assert parse_events(raw, "event-stream", grid.horizon) == events
 
 
-def test_run_solver_empty_output(stub_solver, opb_file):
+def test_run_adapter_empty_output(stub_solver, opb_file):
     grid = make_grid(2, 2.0, 0.5)
     adapter = SolverAdapter("mute", stub_solver(""))
-    traj, _ = run_solver(adapter, opb_file, grid)
-    assert sample_events(traj.events, grid) == (None, None)
+    _, events, _ = run_adapter(adapter, opb_file, grid.horizon)
+    assert sample_events(events, grid) == (None, None)
 
 
-def test_run_solver_crash_keeps_events(stub_solver, opb_file):
+def test_run_adapter_crash_keeps_events(stub_solver, opb_file):
     grid = make_grid(2, 2.0, 0.5)
     adapter = SolverAdapter("crashy", stub_solver("0:o 11", exit_code=3))
-    traj, _ = run_solver(adapter, opb_file, grid)
-    assert traj.status == "crashed"
-    assert [v for _, v in traj.events] == [11]
+    _, events, status = run_adapter(adapter, opb_file, grid.horizon)
+    assert status == "crashed"
+    assert [v for _, v in events] == [11]
 
 
-def test_run_solver_kills_at_horizon(stub_solver, opb_file):
+def test_run_adapter_kills_at_horizon(stub_solver, opb_file):
     grid = make_grid(2, 1.0, 0.2)
     adapter = SolverAdapter("slow", stub_solver("0:o 9|30:o 1"))
-    traj, _ = run_solver(adapter, opb_file, grid)
-    assert [v for _, v in traj.events] == [9]
-    assert traj.status == "killed"
+    _, events, status = run_adapter(adapter, opb_file, grid.horizon)
+    assert [v for _, v in events] == [9]
+    assert status == "killed"
+
+
+def test_incumbent_printed_in_the_kill_grace_is_logged_but_not_an_event(tmp_path, opb_file):
+    # the solver answers SIGTERM with one more, better incumbent: it arrives
+    # after the budget, so the raw capture keeps it and the events do not
+    script = "trap 'echo o 1; exit 0' TERM; echo o 9; sleep 5 & wait"
+    adapter = SolverAdapter("late", ("sh", "-c", script))
+    lines, events, status = run_adapter(adapter, opb_file, 0.5)
+    assert [line for _, line in lines] == ["o 9", "o 1"]
+    assert lines[0][0] < 0.5 < lines[1][0] < 0.5 + 1.0
+    assert (events, status) == (((lines[0][0], 9),), "killed")
+
+    grid = make_grid(2, 0.5, 0.1)
+    archive = run_portfolio(PortfolioConfig([adapter]), [opb_file], grid, tmp_path / "arch")
+    (iid, _, _), = archive.instances()
+    logged = raw_log_from_text(archive._pair_path(iid, "late", ".log").read_text())
+    assert [line for _, line in logged] == ["o 9", "o 1"]
+    traj = archive.read_trajectory(iid, "late")
+    assert (traj.events, traj.status) == (((logged[0][0], 9),), "killed")
 
 
 @pytest.mark.parametrize("script", ["echo o 5; sleep 3; echo o 4", "sleep 3 & echo o 5"])
@@ -209,7 +229,7 @@ def test_budget_kill_reaches_grandchildren(script, opb_file):
     # waiting for sh to exit, would leave the reader waiting for the sleep
     adapter = SolverAdapter("x", ("sh", "-c", script))
     t0 = time.monotonic()
-    lines, status = run_adapter(adapter, opb_file, 0.5)
+    lines, _, status = run_adapter(adapter, opb_file, 0.5)
     assert time.monotonic() - t0 < 0.5 + 1.0
     assert [line for _, line in lines] == ["o 5"]
     assert status == "killed"
@@ -225,7 +245,7 @@ def test_normal_exit_is_reaped_without_a_timed_wait(opb_file, monkeypatch):
         return wait(self, timeout)
 
     monkeypatch.setattr(subprocess.Popen, "wait", recording_wait)
-    lines, status = run_adapter(SolverAdapter("x", ("sh", "-c", "echo o 5")), opb_file, 5.0)
+    lines, _, status = run_adapter(SolverAdapter("x", ("sh", "-c", "echo o 5")), opb_file, 5.0)
     assert ([line for _, line in lines], status) == (["o 5"], "ok")
     assert timeouts == [None]
 
@@ -234,16 +254,39 @@ def test_child_that_closes_stdout_and_keeps_running_is_killed(opb_file):
     # the reader sees the end of stdout early and then waits for the child
     adapter = SolverAdapter("x", ("sh", "-c", "echo o 5; exec >&-; sleep 3"))
     t0 = time.monotonic()
-    lines, status = run_adapter(adapter, opb_file, 0.5)
+    lines, _, status = run_adapter(adapter, opb_file, 0.5)
     assert 0.5 <= time.monotonic() - t0 < 0.5 + 1.0
     assert [line for _, line in lines] == ["o 5"]
     assert status == "killed"
 
 
+def test_interrupted_wait_ends_the_group(tmp_path, opb_file):
+    # a KeyboardInterrupt raised in the wait still ends the solver, which
+    # runs in its own session and so never sees the terminal's Ctrl-C
+    pid_file = tmp_path / "solver.pid"
+    adapter = SolverAdapter("x", ("sh", "-c", f"echo $$ > {pid_file}; exec sleep 30"))
+    interrupt = threading.Timer(0.3, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT))
+    interrupt.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_adapter(adapter, opb_file, 10.0)
+        assert time.monotonic() - t0 < 0.3 + 1.0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(int(pid_file.read_text()), 0)
+    finally:
+        interrupt.cancel()  # a run that failed early must not interrupt a later test
+        interrupt.join(timeout=5)
+        try:  # whatever a failed run left behind
+            os.killpg(int(pid_file.read_text()), signal.SIGKILL)
+        except (FileNotFoundError, ValueError, ProcessLookupError):
+            pass
+
+
 def test_missing_executable_is_hard_error(opb_file):
     adapter = SolverAdapter("ghost", ("/nonexistent/solver", "{instance}"))
     with pytest.raises(AdapterError):
-        run_solver(adapter, opb_file, make_grid(2, 1.0, 0.2))
+        run_adapter(adapter, opb_file, 1.0)
 
 
 # --- archive and portfolio runs ------------------------------------------------
