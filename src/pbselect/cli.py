@@ -8,7 +8,8 @@ portfolio config path.
 
 Every report is a set of ``(header, rows)`` tables keyed by file stem,
 written as CSV by :func:`write_tables`: ``features`` and ``importance``
-print theirs, ``evaluate --out-dir`` writes ``confusion.csv``,
+print theirs, ``evaluate`` prints ``summary`` and then ``breakdown`` and
+with ``--out-dir`` writes ``summary.csv``, ``confusion.csv``,
 ``m_hat_timesteps.csv`` and ``breakdown.csv``, and ``summary --out-dir``
 ``wins_by_timestep.csv`` and ``wins_by_benchmark.csv``.
 """
@@ -162,9 +163,10 @@ def cmd_evaluate(args) -> int:
     ds = ds_mod.read_csv(args.dataset)
     archive = RunArchive(args.archive)
     report = eval_mod.evaluate_selector(model, ds, archive, sbs=args.sbs)
-    sys.stdout.write(report.to_text())
+    tables = report.tables()
+    write_tables({stem: tables[stem] for stem in ("summary", "breakdown")})
     if args.out_dir:
-        write_tables(report.tables(), args.out_dir)
+        write_tables(tables, args.out_dir)
     return 0
 
 

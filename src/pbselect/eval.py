@@ -16,8 +16,10 @@ The headline score is the gap ratio
     m_hat = (m_ms - m_VBS) / (m_SBS - m_VBS)
 
 which is 0 for a perfect (virtual-best) selector and 1 for always running
-the single best solver.  Accuracy and the confusion matrix, by contrast,
-cover every test row.
+the single best solver.  The 3 x 3 ``breakdown`` counts the evaluated pairs
+by the class of the SBS's value (rows) and the selector's (columns), best,
+non_best or none, so its margins are each policy's counts.  Accuracy and
+the confusion matrix, by contrast, cover every test row.
 
 Every report gives both gap ratios: ``m_hat``, and ``m_hat_overhead``,
 for which each instance's overhead shifts the trajectory lookup to the
@@ -41,6 +43,9 @@ from .grid import TimestepGrid
 from .runner import RunArchive, Trajectory, held_ranks
 
 
+CLASSES = ("best", "non_best", "none")
+
+
 class DegeneratePortfolioError(ValueError):
     """m_SBS equals m_VBS, so the gap ratio is undefined."""
 
@@ -53,13 +58,12 @@ def m_hat(m_ms: float, m_sbs: float, m_vbs: float) -> float:
     return (m_ms - m_vbs) / (m_sbs - m_vbs)
 
 
-def sbs_breakdown(ranks: np.ndarray, best_ranks: np.ndarray) -> dict[str, int]:
-    """Classify each pair by the rank of its value: the best found at that
-    pair (``best_ranks``), a worse feasible one, or none (-1)."""
-    feasible = ranks >= 0
-    none = int((~feasible).sum())
-    best = int((feasible & (ranks == best_ranks)).sum())
-    return {"best": best, "non_best": len(ranks) - best - none, "none": none}
+def breakdown_table(sbs_ranks: np.ndarray, selector_ranks: np.ndarray, best_ranks: np.ndarray) -> np.ndarray:
+    """Count the pairs by the SBS's class (rows) and the selector's (columns), each in
+    :data:`CLASSES` order and given by the rank of the value held: the best found at that
+    pair (``best_ranks``), a worse one, or none (-1)."""
+    sbs_class, selector_class = (np.where(r < 0, 2, r != best_ranks) for r in (sbs_ranks, selector_ranks))
+    return np.bincount(3 * sbs_class + selector_class, minlength=9).reshape(3, 3)
 
 
 @dataclass
@@ -166,39 +170,26 @@ class EvalReport:
     m_hat_overhead: float
     accuracy: float
     confusion: np.ndarray  # rows: true label, columns: predicted
-    breakdown: dict[str, dict[str, int]]
+    breakdown: np.ndarray  # evaluated pairs; rows: the SBS's class, columns: the selector's
     per_timestep: list[tuple[int, float | None, float | None]]
-
-    def to_text(self) -> str:
-        lines = [
-            f"evaluated pairs: {self.n_pairs}   test rows: {self.n_rows}",
-            f"SBS: {self.sbs_id}",
-        ]
-        for sid in self.solver_order:
-            lines.append(f"m[{sid}] = {self.m_s[sid]:.6f}")
-        lines.append(f"m_VBS = {self.m_vbs:.6f}")
-        lines.append(f"m_SBS = {self.m_sbs:.6f}")
-        lines.append(f"m_ms  = {self.m_ms:.6f}")
-        lines.append(f"m_hat (no overhead) = {self.m_hat:.6f}")
-        lines.append(f"m_hat (overhead)    = {self.m_hat_overhead:.6f}")
-        lines.append(f"accuracy = {self.accuracy:.6f}")
-        for policy, counts in self.breakdown.items():
-            lines.append(
-                f"breakdown[{policy}]: best={counts['best']} "
-                f"non_best={counts['non_best']} none={counts['none']}"
-            )
-        return "\n".join(lines) + "\n"
 
     def tables(self) -> dict[str, tuple[list[str], list]]:
         """The report's ``(header, rows)`` tables keyed by file stem, which ``pbselect evaluate
-        --out-dir`` writes as ``confusion.csv``, ``m_hat_timesteps.csv`` and ``breakdown.csv``."""
+        --out-dir`` writes as ``<stem>.csv``: ``summary`` holds each scalar, and ``breakdown``
+        counts the evaluated pairs by the SBS's class (rows) and the selector's (columns), so its
+        row sums are the SBS's best/non_best/none counts and its column sums the selector's."""
         vocab = [*self.solver_order, NO_SOLUTION]
+        scalars = [("evaluated_pairs", self.n_pairs), ("test_rows", self.n_rows), ("sbs", self.sbs_id),
+                   *((f"m[{sid}]", self.m_s[sid]) for sid in self.solver_order), ("m_vbs", self.m_vbs),
+                   ("m_sbs", self.m_sbs), ("m_ms", self.m_ms), ("m_ms_overhead", self.m_ms_overhead),
+                   ("m_hat", self.m_hat), ("m_hat_overhead", self.m_hat_overhead), ("accuracy", self.accuracy)]
         return {
+            "summary": (["metric", "value"], scalars),
             "confusion": (["true\\predicted", *vocab],
                           [[label, *counts] for label, counts in zip(vocab, self.confusion.tolist())]),
             "m_hat_timesteps": (["timestep", "m_hat", "m_hat_overhead"], self.per_timestep),
-            "breakdown": (["policy", "best", "non_best", "none"],
-                          [[policy, *counts.values()] for policy, counts in self.breakdown.items()]),
+            "breakdown": (["sbs\\selector", *CLASSES],
+                          [[c, *counts] for c, counts in zip(CLASSES, self.breakdown.tolist())]),
         }
 
 
@@ -270,10 +261,6 @@ def evaluate_selector(
 
     evaluated = ctx.evaluated
     best_ranks = np.where(ctx.ranks < 0, np.iinfo(np.intp).max, ctx.ranks).min(axis=2)[evaluated]
-    breakdown = {
-        f"sbs:{sbs_id}": sbs_breakdown(ctx.ranks[:, :, sbs_index][evaluated], best_ranks),
-        "selector": sbs_breakdown(policy_ranks[evaluated], best_ranks),
-    }
 
     return EvalReport(
         solver_order=ds.solver_order,
@@ -289,7 +276,7 @@ def evaluate_selector(
         m_hat_overhead=m_hat(m_ms_overhead, m_sbs, m_vbs),
         accuracy=accuracy,
         confusion=confusion,
-        breakdown=breakdown,
+        breakdown=breakdown_table(ctx.ranks[:, :, sbs_index][evaluated], policy_ranks[evaluated], best_ranks),
         per_timestep=_per_timestep_series(
             evaluated, ctx.values[:, :, sbs_index], vbs_values, policy_values, overhead_values
         ),

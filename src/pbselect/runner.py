@@ -46,7 +46,7 @@ logger = logging.getLogger(__name__)
 EVENT_STREAM = "event-stream"
 FINAL_ONLY = "final-only"
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")  # ASCII digits only, as in OPB
 _UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 _ESCAPED_RE = re.compile(r"[^A-Za-z0-9._-]")  # each character a solver's file name escapes
 _KILL_GRACE = 1.0  # seconds between SIGTERM and SIGKILL at the budget
@@ -147,7 +147,7 @@ class Trajectory:
 
     ``events`` are (seconds, objective) pairs, nondecreasing in time and
     strictly decreasing in objective; grid samples come from them through
-    :func:`sample_events`.  ``status`` is :func:`run_adapter`'s.
+    :func:`held_ranks`.  ``status`` is :func:`run_adapter`'s.
     """
 
     solver_id: str
@@ -185,19 +185,6 @@ def parse_events(
     return tuple(events)
 
 
-def last_events(events: tuple[tuple[float, int], ...], points) -> np.ndarray:
-    """Index of the last event at or before each of the increasing time
-    ``points``, -1 before the first."""
-    return np.searchsorted([t for t, _ in events], points, side="right") - 1
-
-
-def sample_events(
-    events: tuple[tuple[float, int], ...], grid: TimestepGrid
-) -> tuple[int | None, ...]:
-    """Step-function sample: best value among events at time <= t_j."""
-    return tuple(events[i][1] if i >= 0 else None for i in last_events(events, grid.points).tolist())
-
-
 def held_ranks(trajs: list[Trajectory], grid: TimestepGrid) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The incumbent each solver of one instance holds at each grid point:
     (timestep x solver) arrays of its rank among the distinct values of all
@@ -211,9 +198,11 @@ def held_ranks(trajs: list[Trajectory], grid: TimestepGrid) -> tuple[np.ndarray,
     times = np.empty((grid.count, len(trajs)))
     points = np.array(grid.points)
     for s, t in enumerate(trajs):
-        held = last_events(t.events, points)  # -1 picks the appended "nothing yet"
+        when = np.array([at for at, _ in t.events] + [np.nan])
+        # the last event at or before each point; -1 picks the appended "nothing yet"
+        held = np.searchsorted(when[:-1], points, side="right") - 1
         ranks[:, s] = np.array([rank[v] for _, v in t.events] + [-1], dtype=np.intp)[held]
-        times[:, s] = np.array([at for at, _ in t.events] + [np.nan])[held]
+        times[:, s] = when[held]
     return ranks, times, distinct
 
 
@@ -294,8 +283,8 @@ def trajectory_to_text(traj: Trajectory, grid: TimestepGrid) -> str:
     }
     lines = [json.dumps(meta)]
     lines.extend(f"{t!r} {v}" for t, v in traj.events)
-    sampled = sample_events(traj.events, grid)
-    lines.append("sampled " + " ".join("NA" if v is None else str(v) for v in sampled))
+    ranks, _, distinct = held_ranks([traj], grid)
+    lines.append("sampled " + " ".join("NA" if r < 0 else str(distinct[r]) for r in ranks[:, 0].tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -430,6 +419,8 @@ class RunArchive:
     def read_trajectory(self, instance_id: str, solver_id: str) -> Trajectory:
         text = self._pair_path(instance_id, solver_id).read_text()
         traj, meta = trajectory_from_text(text)
+        if (traj.instance_id, traj.solver_id) != (instance_id, solver_id):
+            raise ValueError(f"trajectory file of {instance_id}/{solver_id} holds {traj.instance_id}/{traj.solver_id}")
         if {key: meta.get(key) for key in ("count", "horizon", "t_min")} != self.grid.params():
             raise ValueError(
                 f"trajectory {instance_id}/{solver_id} was recorded on a different grid"

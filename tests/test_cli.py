@@ -59,30 +59,53 @@ def _offline_pipeline(tmp_path, solvers=SOLVERS4, **corpus):
     return archive, data, model, out
 
 
+TIMED = ("m_ms_overhead", "m_hat_overhead")  # summary rows that one timed prediction per instance moves
+
+
+def _untimed(stem, rows):
+    """The cells of an ``evaluate`` table but those a timed prediction
+    moves, which must be present: the m_hat_overhead column of
+    ``m_hat_timesteps`` and the values of the TIMED ``summary`` rows."""
+    if stem == "m_hat_timesteps":
+        assert {len(row) for row in rows} == {3}
+        return [row[:2] for row in rows]
+    if stem == "summary":
+        assert [row[0] for row in rows if row[0] in TIMED and len(row) == 2 and row[1]] == list(TIMED)
+        return [row[:1] if row[0] in TIMED else row for row in rows]
+    return rows
+
+
 def _check_report_files(archive, data, model, out):
     """Every CSV file of ``evaluate`` and ``summary`` reads back as its
-    table, but for the timed m_hat_overhead column."""
+    table, but for the timed cells; returns ``evaluate``'s tables."""
     ds = read_csv(data)
     for stem, table in win_tables(ds).items():
         assert _read_back((out / "summary" / f"{stem}.csv").read_bytes().decode()) == _cells(table), stem
-    for stem, table in evaluate_selector(TrainedModel.load(model), ds, archive).tables().items():
-        got, want = _read_back((out / "eval" / f"{stem}.csv").read_bytes().decode()), _cells(table)
-        if stem == "m_hat_timesteps":
-            assert {len(row) for row in got} == {3}
-            got, want = [row[:2] for row in got], [row[:2] for row in want]
-        assert got == want, stem
+    tables = evaluate_selector(TrainedModel.load(model), ds, archive).tables()
+    assert sorted(p.name for p in (out / "eval").iterdir()) == sorted(f"{stem}.csv" for stem in tables)
+    for stem, table in tables.items():
+        got = _read_back((out / "eval" / f"{stem}.csv").read_bytes().decode())
+        assert _untimed(stem, got) == _untimed(stem, _cells(table)), stem
+    return tables
 
 
 def test_offline_pipeline_through_the_cli(tmp_path, capsys):
     archive, data, model, out = _offline_pipeline(tmp_path)
     printed = capsys.readouterr().out
     assert "270 rows, 0 instances skipped" in printed
-    assert "m_hat (overhead)" in printed
-    _check_report_files(archive, data, model, out)
+    tables = _check_report_files(archive, data, model, out)
+    assert set(tables) == {"summary", "confusion", "m_hat_timesteps", "breakdown"}
+    # evaluate prints its summary table and then its breakdown table
+    summary, breakdown = _cells(tables["summary"]), _cells(tables["breakdown"])
+    lines = printed.splitlines(keepends=True)
+    start = lines.index("metric,value\n")
+    got = _read_back("".join(lines[start:start + len(summary) + len(breakdown)]))
+    assert _untimed("summary", got[:len(summary)]) == _untimed("summary", summary)
+    assert got[len(summary):] == breakdown
     assert (out / "summary" / "wins_by_benchmark.csv").read_text().startswith(
         "benchmark,s0,s1,s2,s3,NO_SOLUTION\nbench0,"
     )
-    assert (out / "eval" / "breakdown.csv").read_text().startswith("policy,best,non_best,none\nsbs:")
+    assert (out / "eval" / "breakdown.csv").read_text().startswith("sbs\\selector,best,non_best,none\nbest,")
 
 
 ODD = (",", '"', "\n", "\r")  # each breaks a CSV line written without quoting

@@ -9,17 +9,18 @@ import pytest
 
 from pbselect.dataset import NO_SOLUTION, TEST, TRAIN, build_dataset, split_by_benchmark
 from pbselect.eval import (
+    CLASSES,
     DegeneratePortfolioError,
     EvalContext,
+    breakdown_table,
     context_from_trajectories,
     evaluate_selector,
     m_hat,
     pick_sbs,
-    sbs_breakdown,
 )
 from pbselect.grid import make_grid
 from pbselect.learners import train_model
-from pbselect.runner import RunArchive, Trajectory, sample_events
+from pbselect.runner import RunArchive, Trajectory
 
 from gen import SOLVERS4, random_mini_archive, synthetic_corpus, synthetic_instance_text
 from oracles import (
@@ -31,6 +32,7 @@ from oracles import (
     oracle_pairs,
     oracle_sample,
 )
+from test_runner import held_samples
 
 
 def _traj(events):
@@ -121,17 +123,27 @@ def test_compute_bounds_spans_all_events():
     assert not empty.evaluated.any()
 
 
+def _ranks(values):
+    return np.array([-1 if v is None else v for v in values])
+
+
 def _breakdown(values, best):
-    ranks = [[-1 if v is None else v for v in vs] for vs in (values, best)]
-    return sbs_breakdown(*map(np.array, ranks))
+    """One policy's counts: the row sums of the table of ``values`` against
+    themselves, which are its column sums too."""
+    table = breakdown_table(_ranks(values), _ranks(values), _ranks(best))
+    assert table.sum(axis=1).tolist() == table.sum(axis=0).tolist()
+    return dict(zip(CLASSES, table.sum(axis=1).tolist()))
 
 
-def test_sbs_breakdown_cases():
+def test_breakdown_table_cases():
     best = [5, 7, None, 2]
     assert _breakdown([5, 7, None, 2], best) == {"best": 3, "non_best": 0, "none": 1}
     assert _breakdown([None, None, None, None], best) == {"best": 0, "non_best": 0, "none": 4}
     counts = _breakdown([5, 9, None, None], best)
     assert sum(counts.values()) == 4
+    # the SBS holds (best, non_best, none, none), the selector (non_best, best, best, none)
+    table = breakdown_table(_ranks([5, 9, None, None]), _ranks([6, 7, 1, None]), _ranks([5, 7, 1, 2]))
+    assert table.tolist() == [[0, 1, 0], [1, 0, 0], [1, 0, 1]]
 
 
 # --- oracle equivalence on random mini-archives ----------------------------------
@@ -225,7 +237,7 @@ def test_vbs_and_sbs_anchor_exactly():
         # VBS policy: pick an argmin solver per pair
         labels = np.full(ctx.evaluated.shape, len(order))
         for iid, j in _pairs(ctx):
-            sampled = {sid: sample_events(trajs[iid][sid].events, grid)[j] for sid in order}
+            sampled = {sid: held_samples(trajs[iid][sid].events, grid)[j] for sid in order}
             best_sid = min((sid for sid in order if sampled[sid] is not None), key=sampled.get)
             labels[ctx.instance_ids.index(iid), j] = order.index(best_sid)
         assert m_hat(ctx.metric(ctx.choose(labels)[0]), m_s[sbs_id], m_vbs) == 0.0
@@ -363,6 +375,14 @@ def _oracle_report(archive, order, test, overheads):
         return (sum(g == b for g, b in got), sum(g is not None and g != b for g, b in got),
                 sum(g is None for g, _ in got))
 
+    def pair_class(fn, iid, j):
+        v = fn(iid, j)
+        return 2 if v is None else int(v != best(iid, j))
+
+    joint = [[0] * 3 for _ in CLASSES]
+    for iid, j in pairs:
+        joint[pair_class(policies[sbs], iid, j)][pair_class(policies["plain"], iid, j)] += 1
+
     confusion = [[0] * len(vocab) for _ in vocab]
     for iid in test:
         for j, t in enumerate(points):
@@ -376,7 +396,8 @@ def _oracle_report(archive, order, test, overheads):
         "m_hat_overhead": oracle_m_hat(m["overhead"], m[sbs], m["vbs"]),
         "n_pairs": len(pairs),
         "series": series,
-        "breakdown": {f"sbs:{sbs}": breakdown(policies[sbs]), "selector": breakdown(policies["plain"])},
+        "breakdown": joint,
+        "margins": {"sbs": breakdown(policies[sbs]), "selector": breakdown(policies["plain"])},
         "confusion": confusion,
     }
 
@@ -394,7 +415,7 @@ def _check_report(report, want, vocab):
     assert report.n_pairs == want["n_pairs"]
 
     tables = report.tables()
-    assert list(tables) == ["confusion", "m_hat_timesteps", "breakdown"]
+    assert list(tables) == ["summary", "confusion", "m_hat_timesteps", "breakdown"]
     header, rows = tables["m_hat_timesteps"]
     assert header == ["timestep", "m_hat", "m_hat_overhead"]
     assert len(rows) == len(want["series"])
@@ -403,10 +424,20 @@ def _check_report(report, want, vocab):
         for ratio, exact in zip(ratios, (plain, ov)):
             assert (ratio is None) if exact is None else _close(ratio, exact)
 
+    assert report.breakdown.tolist() == want["breakdown"]
     assert tables["breakdown"] == (
-        ["policy", "best", "non_best", "none"],
-        [[policy, *counts] for policy, counts in want["breakdown"].items()],
+        ["sbs\\selector", "best", "non_best", "none"],
+        [[c, *counts] for c, counts in zip(CLASSES, want["breakdown"])],
     )
+    # its margins are the SBS's and the selector's own counts
+    assert tuple(report.breakdown.sum(axis=1).tolist()) == want["margins"]["sbs"]
+    assert tuple(report.breakdown.sum(axis=0).tolist()) == want["margins"]["selector"]
+    assert tables["summary"] == (["metric", "value"], [
+        ("evaluated_pairs", report.n_pairs), ("test_rows", report.n_rows), ("sbs", report.sbs_id),
+        *((f"m[{sid}]", report.m_s[sid]) for sid in vocab[:-1]), ("m_vbs", report.m_vbs),
+        ("m_sbs", report.m_sbs), ("m_ms", report.m_ms), ("m_ms_overhead", report.m_ms_overhead),
+        ("m_hat", report.m_hat), ("m_hat_overhead", report.m_hat_overhead), ("accuracy", report.accuracy),
+    ])
     assert tables["confusion"] == (
         ["true\\predicted", *vocab], [[label, *counts] for label, counts in zip(vocab, want["confusion"])]
     )
@@ -448,7 +479,7 @@ def test_evaluate_selector_matches_oracles(tmp_path):
 
     report = evaluate_selector(_FixedModel(ds), ds, archive)
     want = _oracle_report(archive, order, test, overheads)
-    assert want["breakdown"]["selector"][2] > 0  # the rule picks NO_SOLUTION somewhere
+    assert want["margins"]["selector"][2] > 0  # the rule picks NO_SOLUTION somewhere
     _check_report(report, want, order + [NO_SOLUTION])
 
 
@@ -494,6 +525,41 @@ def test_objectives_beyond_int64(tmp_path):
     want = _oracle_report(archive, order, paths, overheads)
     assert 0 < want["m"]["vbs"] < Fraction(1, 2**50)
     _check_report(report, want, order + [NO_SOLUTION])
+
+
+def test_breakdown_counts_pairs_where_the_sbs_has_no_solution(tmp_path):
+    """The pinned SBS A has no solution at four pairs where B or C holds
+    one; at one of them the selector picks the best value there, at another a
+    worse one.  Per instance: (constraints, {solver: events}), with the
+    fixed rule's choices at t = 1, 10, 100 in the comment."""
+    grid = make_grid(3, 100.0, 1.0)
+    order = ["A", "B", "C"]
+    recorded = {
+        "x": (4, {"A": ((50.0, 1),), "B": ((0.5, 9),), "C": ((0.5, 6),)}),  # A, B, C
+        "y": (5, {"A": ((5.0, 3),), "B": ((0.5, 4),), "C": ((0.5, 8),)}),  # B, C, none
+        "z": (6, {"A": ((0.5, 5),), "B": (), "C": ((0.5, 7), (50.0, 2))}),  # C, none, A
+        "w": (7, {"A": ((50.0, 4),), "B": ((5.0, 6),), "C": ()}),  # none, A, B
+    }
+    archive = RunArchive(tmp_path / "archive", grid)
+    for name, (constraints, per_solver) in recorded.items():
+        path = tmp_path / "b0" / f"{name}.opb"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(synthetic_instance_text(constraints, 3))
+        archive.register_instance(f"b0__{name}", "b0", str(path))
+        for sid, ev in per_solver.items():
+            archive.write_trajectory(Trajectory(sid, f"b0__{name}", ev))
+    ds = build_dataset(archive, "basic", order)
+    ds.split.update(dict.fromkeys(ds.instance_ids, TEST))
+
+    report = evaluate_selector(_FixedModel(ds), ds, archive, sbs="A")
+    # (SBS, selector) classes; w holds nothing at t = 1, so 11 pairs count
+    # x: (none, none), (none, non_best), (best, non_best)
+    # y: (none, best), (best, non_best), (best, none)
+    # z: (best, non_best), (best, none), (non_best, non_best)
+    # w: -, (none, none), (best, non_best)
+    assert report.n_pairs == 11
+    assert report.breakdown.tolist() == [[0, 4, 2], [0, 1, 0], [1, 1, 2]]
+    assert report.tables()["breakdown"][1][2] == ["none", 1, 1, 2]
 
 
 def _split_corpus(root, grid, n_instances=40):

@@ -24,7 +24,6 @@ from pbselect.runner import (
     raw_log_to_text,
     run_adapter,
     run_portfolio,
-    sample_events,
     trajectory_from_text,
     trajectory_to_text,
 )
@@ -39,6 +38,13 @@ def _traj(events, solver="s", instance="i"):
     return Trajectory(solver_id=solver, instance_id=instance, events=tuple(events))
 
 
+def held_samples(events, grid):
+    """Value of the incumbent held at each grid point, None before the first
+    event: :func:`held_ranks`' ranks of the one trajectory, as values."""
+    ranks, _, distinct = held_ranks([_traj(events)], grid)
+    return tuple(None if r < 0 else distinct[r] for r in ranks[:, 0].tolist())
+
+
 def _held_times(events, grid):
     """Time of the incumbent held at each grid point, None before the first
     event: :func:`held_ranks`' times of the one trajectory."""
@@ -51,11 +57,11 @@ def _held_times(events, grid):
 
 def test_sampling_definition():
     events = ((0.5, 12), (2.0, 7))
-    assert sample_events(events, GRID2) == (12, 7)
+    assert held_samples(events, GRID2) == (12, 7)
 
 
 def test_sampling_empty_events():
-    assert sample_events((), GRID2) == (None, None)
+    assert held_samples((), GRID2) == (None, None)
 
 
 def test_parse_events_discards_non_improving():
@@ -70,11 +76,13 @@ def test_parse_events_skips_malformed_and_ignores_chatter(caplog):
         (0.3, "o 5"),
         (0.4, "objective 3"),
         (0.5, "s SATISFIABLE"),
+        (0.6, "o \u0663\u0664"),  # Arabic-Indic digits, which int() reads as 34
+        (0.7, "o \uff15"),  # a fullwidth 5
     ]
     with caplog.at_level("WARNING"):
         events = parse_events(lines, "event-stream", 10.0)
     assert events == ((0.3, 5),)
-    assert any("unparseable" in r.message for r in caplog.records)
+    assert sum("unparseable" in r.message for r in caplog.records) == 3
 
 
 def test_parse_events_final_only_keeps_last():
@@ -97,7 +105,7 @@ def test_sampling_matches_bruteforce_on_random_events():
             shared = rng.choice([events[0][0], rng.choice(grid.points)])
             times = sorted([shared, shared] + [t for t, _ in events[1:]])
             events = tuple(zip(times, [events[0][1] + 1] + [v for _, v in events]))
-        sampled = sample_events(events, grid)
+        sampled = held_samples(events, grid)
         achieved = _held_times(events, grid)
         for j, t in enumerate(grid.points):
             assert sampled[j] == oracle_sample(events, t)
@@ -113,8 +121,8 @@ def test_grid_refinement_preserves_shared_points():
     assert len(shared) == 3
     for _ in range(100):
         events = random_events(rng, 100.0)
-        sc = sample_events(events, coarse)
-        sf = sample_events(events, fine)
+        sc = held_samples(events, coarse)
+        sf = held_samples(events, fine)
         for jc, jf in shared.values():
             assert sc[jc] == sf[jf]
 
@@ -123,7 +131,7 @@ def test_trajectory_monotone_and_defined_suffix():
     rng = random.Random(11)
     grid = make_grid(10, 50.0, 0.5)
     for _ in range(200):
-        sampled = sample_events(random_events(rng, grid.horizon), grid)
+        sampled = held_samples(random_events(rng, grid.horizon), grid)
         seen = False
         prev = None
         for v in sampled:
@@ -176,7 +184,7 @@ def test_run_adapter_records_stream(stub_solver, opb_file):
     adapter = SolverAdapter("fast", stub_solver("0:o 12|0.05:o 7"))
     raw, events, status = run_adapter(adapter, opb_file, grid.horizon)
     assert [v for _, v in events] == [12, 7]
-    assert sample_events(events, grid) == (7, 7, 7)  # both events land before the 0.5 s point
+    assert held_samples(events, grid) == (7, 7, 7)  # both events land before the 0.5 s point
     assert status == "ok"
     assert parse_events(raw, "event-stream", grid.horizon) == events
 
@@ -185,7 +193,7 @@ def test_run_adapter_empty_output(stub_solver, opb_file):
     grid = make_grid(2, 2.0, 0.5)
     adapter = SolverAdapter("mute", stub_solver(""))
     _, events, _ = run_adapter(adapter, opb_file, grid.horizon)
-    assert sample_events(events, grid) == (None, None)
+    assert held_samples(events, grid) == (None, None)
 
 
 def test_run_adapter_crash_keeps_events(stub_solver, opb_file):
@@ -346,7 +354,7 @@ def test_run_portfolio_parallel_matches_sequential(stub_solver, tmp_path):
             a = seq.read_trajectory(iid, sid)
             b = par.read_trajectory(iid, sid)
             assert [v for _, v in a.events] == [v for _, v in b.events]
-            assert sample_events(a.events, grid) == sample_events(b.events, grid)
+            assert held_samples(a.events, grid) == held_samples(b.events, grid)
 
 
 def test_run_portfolio_isolates_failures(stub_solver, tmp_path):
@@ -630,6 +638,20 @@ def test_solver_ids_that_shared_a_file_name_get_their_own(tmp_path):
     assert [archive.read_trajectory("i", sid).events for sid in ("s,1", "s;1")] == [((0.5, 3),), ((0.5, 5),)]
 
 
+def test_trajectory_file_of_another_pair_is_refused(tmp_path):
+    # an archive written before ids were percent-encoded named the file of
+    # "s,1" s_1.traj, which is the file of the id "s_1" now
+    archive = RunArchive(tmp_path / "a", make_grid(2, 10.0, 1.0))
+    archive.write_trajectory(_traj(((0.5, 3),), solver="s,1"))
+    (archive.root / "i" / "s%2C1.traj").rename(archive.root / "i" / "s_1.traj")
+    with pytest.raises(ValueError, match=r"^trajectory file of i/s_1 holds i/s,1$"):
+        archive.read_trajectory("i", "s_1")
+    archive.write_trajectory(_traj(((0.5, 3),), solver="s", instance="j"))
+    (archive.root / "j").rename(archive.root / "i2")
+    with pytest.raises(ValueError, match=r"^trajectory file of i2/s holds j/s$"):
+        archive.read_trajectory("i2", "s")
+
+
 def test_empty_portfolio_rejected(tmp_path):
     with pytest.raises(ValueError, match="portfolio has no solvers"):
         PortfolioConfig(adapters=[])
@@ -703,7 +725,7 @@ def test_trajectory_files_of_other_writers_read_as_their_events(tmp_path):
         path.write_text(_foreign_traj_text(grid, events, [oracle_sample(events, t) for t in grid.points]))
         traj = archive.read_trajectory("i", "s")
         assert traj.events == events
-        assert sample_events(traj.events, grid) == tuple(oracle_sample(events, t) for t in grid.points)
+        assert held_samples(traj.events, grid) == tuple(oracle_sample(events, t) for t in grid.points)
         assert _held_times(traj.events, grid) == [
             max((et for et, _ in events if et <= t), default=None) for t in grid.points
         ]
@@ -717,7 +739,7 @@ def test_sampled_record_of_right_width_is_not_read(tmp_path):
     path.write_text(_foreign_traj_text(grid, ((0.5, 3),), [9, None, -4]))
     traj = archive.read_trajectory("i", "s")
     assert traj == _traj(((0.5, 3),))
-    assert sample_events(traj.events, grid) == (3, 3, 3)
+    assert held_samples(traj.events, grid) == (3, 3, 3)
 
 
 @pytest.mark.parametrize("cut", ["in the benchmark field", "in the path field"])
