@@ -1,8 +1,12 @@
-"""Anytime algorithm selection for pseudo-Boolean optimization portfolios."""
+"""Anytime algorithm selection for pseudo-Boolean optimization portfolios.
+
+Exports the OPB model, its reader and writer, the timestep grid and
+:func:`extract`, the one feature extractor: ``extract(inst, schema)``.
+"""
 
 __version__ = "0.1.0"
 
-from .features import FeatureVector, extract_basic, extract_linear, extract_nonlinear
+from .features import FeatureVector, extract
 from .grid import TimestepGrid, make_grid
 from .opb import Constraint, Instance, Term, is_linear, linearize, parse_opb, serialize
 
@@ -12,9 +16,7 @@ __all__ = [
     "Instance",
     "Term",
     "TimestepGrid",
-    "extract_basic",
-    "extract_linear",
-    "extract_nonlinear",
+    "extract",
     "is_linear",
     "linearize",
     "make_grid",

@@ -114,7 +114,7 @@ class LabeledDataset:
         """One read-only row object per (instance, timestep), built on demand."""
         vocab, steps = self.vocabulary(), self.timesteps()
         return [
-            DatasetRow(iid, bench, j, FeatureVector(values, self.schema, steps[j]), vocab[label])
+            DatasetRow(iid, bench, j, FeatureVector(values, steps[j]), vocab[label])
             for iid, bench, values, labels in zip(
                 self.instance_ids, self.benchmark_ids, map(tuple, self.features.tolist()),
                 self.labels.tolist(),

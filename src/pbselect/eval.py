@@ -92,15 +92,14 @@ class EvalContext:
 
         ``labels`` is an (instance, timestep) array of solver indices; the
         index ``len(solver_order)`` (NO_SOLUTION) gets 2.0 and rank -1.
-        With per-instance ``overhead`` seconds, the lookup moves to the
+        With per-instance ``overhead`` seconds (none when None), the lookup moves to the
         largest grid point that still fits before t_j once the overhead is
         spent; where none fits, the pair gets 2.0 and rank -1 too.
         """
-        n, count, k = self.values.shape
-        steps = np.broadcast_to(np.arange(count), labels.shape)
-        if overhead is not None:
-            points = np.array(self.grid.points)
-            steps = np.searchsorted(points, points - overhead[:, None], side="right") - 1
+        n, _, k = self.values.shape
+        points = np.array(self.grid.points)
+        spent = np.zeros((n, 1)) if overhead is None else overhead[:, None]
+        steps = np.searchsorted(points, points - spent, side="right") - 1
         at = (np.arange(n)[:, None], np.maximum(steps, 0), np.minimum(labels, k - 1))
         chosen = (labels < k) & (steps >= 0)
         return np.where(chosen, self.values[at], 2.0), np.where(chosen, self.ranks[at], -1)

@@ -1,14 +1,15 @@
 """Instance features for solver selection.
 
-Three schemas are supported:
+Every schema is a column selection of one 14-value set, and every schema
+needs an objective (:class:`pbselect.opb.MissingObjectiveError` otherwise).
 
 * ``basic``     -- constraint and variable counts only (2 features).
-* ``nonlinear`` -- the full 14-feature set computed on the instance as-is.
-* ``linear``    -- the features of the linearized instance (see
+* ``nonlinear`` -- the full set computed on the instance as-is.
+* ``linear``    -- the full set of the linearized instance (see
                    :func:`pbselect.opb.linearize`), computed in closed form
-                   from the distinct products without linearizing; the
-                   features tied to term degree become redundant and are
-                   dropped (9 left).
+                   from the distinct products without linearizing, minus
+                   the entries tied to term degree, which become constant
+                   (9 left).
 
 The full ordering is: number of constraints; number of variables; a 0/1
 flag for the presence of nonlinear (degree >= 2) terms; the fraction of
@@ -41,48 +42,31 @@ LINEAR = "linear"
 
 TIMESTEP_FEATURE = "timestep"
 
-_NONLINEAR_NAMES = (
-    "n_constraints",
-    "n_variables",
-    "nonlinear",
-    "c_terms_1",
-    "c_terms_2",
-    "c_terms_3",
-    "c_terms_4",
-    "t_degree_1",
-    "t_degree_2",
-    "t_degree_3",
-    "t_degree_4",
-    "obj_size",
-    "pos_constr",
-    "pos_obj",
+_FULL_NAMES = (  # one family a line, in the order of the module docstring
+    "n_constraints", "n_variables", "nonlinear",
+    "c_terms_1", "c_terms_2", "c_terms_3", "c_terms_4",
+    "t_degree_1", "t_degree_2", "t_degree_3", "t_degree_4",
+    "obj_size", "pos_constr", "pos_obj",
 )
-# linear mode drops the nonlinearity flag and the term-degree block
-_LINEAR_KEEP = (0, 1, 3, 4, 5, 6, 11, 12, 13)
-
-SCHEMAS: dict[str, tuple[str, ...]] = {
-    BASIC: _NONLINEAR_NAMES[:2],
-    NONLINEAR: _NONLINEAR_NAMES,
-    LINEAR: tuple(_NONLINEAR_NAMES[i] for i in _LINEAR_KEEP),
+# each schema's entries of the full set; linear drops the nonlinearity flag
+# and the term-degree block, constant on a linearized instance
+_COLUMNS: dict[str, tuple[int, ...]] = {
+    BASIC: (0, 1),
+    NONLINEAR: tuple(range(len(_FULL_NAMES))),
+    LINEAR: (0, 1, 3, 4, 5, 6, 11, 12, 13),
 }
+
+SCHEMAS = {schema: tuple(_FULL_NAMES[i] for i in columns) for schema, columns in _COLUMNS.items()}
 
 TIMESTEP_ENCODINGS = ("index", "seconds")
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    values: tuple[float, ...]
-    schema: str
-    timestep: float | None = None
+    """One instance's feature values and, on a dataset row, its encoded timestep."""
 
-    def __post_init__(self):
-        if self.schema not in SCHEMAS:
-            raise ValueError(f"unknown feature schema {self.schema!r}")
-        if len(self.values) != len(SCHEMAS[self.schema]):
-            raise ValueError(
-                f"schema {self.schema!r} expects {len(SCHEMAS[self.schema])} values, "
-                f"got {len(self.values)}"
-            )
+    values: tuple[float, ...]
+    timestep: float | None = None
 
 
 def feature_names(schema: str, with_timestep: bool = True) -> tuple[str, ...]:
@@ -141,29 +125,13 @@ def _full_values(inst: Instance, linearized: bool) -> tuple[float, ...]:
     )
 
 
-def extract_nonlinear(inst: Instance) -> FeatureVector:
-    return FeatureVector(_full_values(inst, linearized=False), NONLINEAR)
-
-
-def extract_linear(inst: Instance) -> FeatureVector:
-    """The full set of the linearized instance, minus the degree-related entries."""
-    values = _full_values(inst, linearized=True)
-    return FeatureVector(tuple(values[i] for i in _LINEAR_KEEP), LINEAR)
-
-
-def extract_basic(inst: Instance) -> FeatureVector:
-    return FeatureVector((float(len(inst.relations)), float(inst.num_variables)), BASIC)
-
-
-_EXTRACTORS = {BASIC: extract_basic, NONLINEAR: extract_nonlinear, LINEAR: extract_linear}
-
-
 def extract(inst: Instance, schema: str) -> FeatureVector:
     try:
-        fn = _EXTRACTORS[schema]
+        columns = _COLUMNS[schema]
     except KeyError:
         raise ValueError(f"unknown feature schema {schema!r}") from None
-    return fn(inst)
+    values = _full_values(inst, linearized=schema == LINEAR)
+    return FeatureVector(tuple(values[i] for i in columns))
 
 
 def encode_timestep(index: int, grid: TimestepGrid, encoding: str = "index") -> float:

@@ -290,7 +290,9 @@ def trajectory_to_text(traj: Trajectory, grid: TimestepGrid) -> str:
 
 def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     lines = text.splitlines()
-    meta = json.loads(lines[0])
+    meta = json.loads(lines[0]) if lines else None
+    if not isinstance(meta, dict) or not {"solver", "instance", "count"} <= meta.keys():
+        raise ValueError("trajectory file does not start with a metadata object")
     if not lines[-1].startswith("sampled"):
         raise ValueError("trajectory file missing sampled record")
     events = []
@@ -455,8 +457,10 @@ def run_portfolio(
 
     An instance's benchmark is the name of the directory holding it, or
     ``default`` when its path names no directory; the archive manifest
-    records it.  Failures are isolated per pair and recorded as ``.error``
-    files; those pairs are retried on the next invocation.
+    records it.  A pair is held when its file reads back as that pair on
+    the archive's grid; a file that does not is logged, and its pair runs
+    again and overwrites it.  Failures are isolated per pair and recorded
+    as ``.error`` files; those pairs are retried on the next invocation.
     """
     archive = RunArchive(archive_root, grid)
     jobs: list[tuple[SolverAdapter, str, str]] = []
@@ -465,7 +469,12 @@ def run_portfolio(
         iid = instance_id_for(path, bench)
         archive.register_instance(iid, bench, path)
         for adapter in portfolio.adapters:
-            if not archive.has(iid, adapter.solver_id):
+            try:
+                archive.read_trajectory(iid, adapter.solver_id)
+            except FileNotFoundError:
+                jobs.append((adapter, path, iid))
+            except ValueError as exc:
+                logger.warning("running %s/%s again: %s", iid, adapter.solver_id, exc)
                 jobs.append((adapter, path, iid))
 
     def _work(job):

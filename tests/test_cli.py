@@ -162,6 +162,23 @@ def test_run_portfolio_through_the_cli(tmp_path, opb_file, capsys, caplog):
     assert sorted(errors) == sorted(f"failed pair ({iid}, ghost): {message}" for iid, _, message in failures)
 
 
+def test_build_dataset_reports_a_damaged_trajectory_file(tmp_path, opb_file, capsys):
+    portfolio = tmp_path / "portfolio.json"
+    portfolio.write_text(json.dumps({"solvers": [{"id": "a", "command": ["sh", "-c", "echo o 5"]}]}))
+    assert main(["run-portfolio", str(opb_file), "--grid-count", "3", "--horizon", "2", "--t-min", "0.5",
+                 "--portfolio", str(portfolio), "--archive", str(tmp_path / "arch")]) == 0
+    archive = RunArchive(tmp_path / "arch")
+    [(iid, _, _)] = archive.instances()
+    archive._pair_path(iid, "a").write_text("")
+    capsys.readouterr()
+    argv = ["build-dataset", "--archive", str(archive.root), "--portfolio", str(portfolio),
+            "--out", str(tmp_path / "data.csv")]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "detail": "trajectory file does not start with a metadata object"
+    }
+
+
 def test_parse_prints_canonical_text_or_checks_only(opb_file, capsys):
     assert main(["parse", str(opb_file)]) == 0
     assert capsys.readouterr().out == "* #variable= 2 #constraint= 1\nmin: +1 x1 -2 x2 ;\n+1 x1 +1 x2 >= 1 ;\n"

@@ -185,6 +185,23 @@ def test_build_dataset_skips_problem_instances(tmp_path):
     assert "line 1, column 6: invalid UTF-8 byte 0xe9" in reasons["b0__latin1"]
 
 
+def test_every_schema_skips_an_instance_without_an_objective(tmp_path):
+    # so datasets of one archive under different schemas hold the same
+    # instances and split them alike
+    grid = make_grid(2, 10.0, 1.0)
+    rows = [(instance_id_for(p, "b0"), "b0", p) for p in (_write_instance(tmp_path, "b0", f"p{i}") for i in range(5))]
+    noobj = tmp_path / "b0" / "noobj.opb"
+    noobj.write_text("* #variable= 1 #constraint= 1\n+1 x1 >= 1 ;\n")
+    rows.append((instance_id_for(noobj, "b0"), "b0", noobj))
+    archive = _synthetic_archive(tmp_path, grid, {(iid, "A"): [(0.5, 1)] for iid, _, _ in rows}, rows)
+    basic, nonlinear = (build_dataset(archive, schema, ["A"]) for schema in ("basic", "nonlinear"))
+    assert basic.instance_ids == nonlinear.instance_ids == [f"b0__p{i}" for i in range(5)]
+    assert basic.skipped == nonlinear.skipped == [("b0__noobj", "no objective")]
+    test_sets = [{iid for iid, part in split_by_benchmark(ds, 1).split.items() if part == "test"}
+                 for ds in (basic, nonlinear)]
+    assert test_sets[0] == test_sets[1]
+
+
 def test_build_dataset_requires_complete_pairs(tmp_path):
     grid = make_grid(2, 10.0, 1.0)
     p = _write_instance(tmp_path, "b0", "i0")

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from pbselect.features import (
     SCHEMAS,
-    FeatureVector,
     encode_timestep,
     extract,
-    extract_basic,
-    extract_linear,
-    extract_nonlinear,
     feature_names,
 )
 from pbselect.grid import make_grid
@@ -24,6 +20,16 @@ TOY = "* #variable= 2 #constraint= 1\nmin: +1 x1 -2 x2 ;\n+1 x1 +1 x2 >= 1 ;\n"
 TOY_VECTOR = (1.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.5, 1.0, 0.5)
 
 
+def test_package_names():
+    import pbselect
+
+    names = {}
+    exec("from pbselect import *", names)
+    assert set(pbselect.__all__) <= names.keys()
+    assert names["extract"] is extract
+    assert [name for name in names if name.startswith("extract")] == ["extract"]  # no per-schema extractor
+
+
 def test_schema_sizes():
     assert len(SCHEMAS["basic"]) == 2
     assert len(SCHEMAS["nonlinear"]) == 14
@@ -31,7 +37,7 @@ def test_schema_sizes():
 
 
 def test_toy_nonlinear_vector_exact():
-    assert extract_nonlinear(parse_opb(TOY)).values == TOY_VECTOR
+    assert extract(parse_opb(TOY), "nonlinear").values == TOY_VECTOR
 
 
 def test_added_product_term_changes_degree_fraction():
@@ -41,14 +47,14 @@ def test_added_product_term_changes_degree_fraction():
         "+1 x1 +1 x2 >= 1 ;\n"
         "+3 x1 x2 >= 1 ;\n"
     )
-    fv = extract_nonlinear(parse_opb(doc))
+    fv = extract(parse_opb(doc), "nonlinear")
     assert fv.values[2] == 1.0  # nonlinear flag set
     assert fv.values[7] == 4 / 5  # degree-1 share over 5 terms
     assert fv.values[8] == 1 / 5  # degree-2 share
 
 
 def test_no_constraints_degenerate_fractions():
-    fv = extract_nonlinear(parse_opb("* #variable= 3 #constraint= 0\nmin: +1 x1 ;\n"))
+    fv = extract(parse_opb("* #variable= 3 #constraint= 0\nmin: +1 x1 ;\n"), "nonlinear")
     assert fv.values[0] == 0.0
     assert fv.values[3:7] == (0.0, 0.0, 0.0, 0.0)
     assert fv.values[12] == 0.0  # no constraint terms either
@@ -56,35 +62,33 @@ def test_no_constraints_degenerate_fractions():
 
 def test_missing_objective_rejected():
     inst = parse_opb("* #variable= 1 #constraint= 1\n+1 x1 >= 1 ;\n")
-    with pytest.raises(MissingObjectiveError):
-        extract_nonlinear(inst)
-    with pytest.raises(MissingObjectiveError):
-        extract_linear(inst)
-    assert extract_basic(inst).values == (1.0, 1.0)  # basic has no objective need
+    for schema in ("basic", "nonlinear", "linear"):
+        with pytest.raises(MissingObjectiveError):
+            extract(inst, schema)
 
 
 def test_linear_projection_identity_on_linear_instances():
     rng = random.Random(21)
     for _ in range(100):
         inst = random_instance(rng, max_vars=15, max_degree=1)
-        full = extract_nonlinear(inst).values
+        full = extract(inst, "nonlinear").values
         projected = tuple(full[i] for i in (0, 1, 3, 4, 5, 6, 11, 12, 13))
-        assert extract_linear(inst).values == projected
+        assert extract(inst, "linear").values == projected
 
 
 def test_linear_counts_follow_linearization():
     doc = "* #variable= 2 #constraint= 1\nmin: +3 x1 x2 ;\n+1 x1 >= 0 ;\n"
     inst = parse_opb(doc)
-    fv = extract_linear(inst)
+    fv = extract(inst, "linear")
     lin = linearize(inst)
     # recount by hand on the linearized instance: 4 constraints, 3 variables
     assert fv.values[0] == float(len(lin.constraints)) == 4.0
     assert fv.values[1] == float(lin.num_variables) == 3.0
-    assert extract_nonlinear(lin).values[11] == fv.values[6]  # obj_size carried over
+    assert extract(lin, "nonlinear").values[11] == fv.values[6]  # obj_size carried over
 
 
 def _projected_linearization(inst):
-    full = extract_nonlinear(linearize(inst)).values
+    full = extract(linearize(inst), "nonlinear").values
     return tuple(full[i] for i in (0, 1, 3, 4, 5, 6, 11, 12, 13))
 
 
@@ -135,11 +139,11 @@ def test_linear_closed_form_on_generated_instances():
 
 def test_basic_ignores_linearization():
     doc = "* #variable= 2 #constraint= 1\nmin: +3 x1 x2 ;\n+1 x1 >= 0 ;\n"
-    assert extract_basic(parse_opb(doc)).values == (1.0, 2.0)
+    assert extract(parse_opb(doc), "basic").values == (1.0, 2.0)
 
 
 def test_basic_zero_constraints():
-    assert extract_basic(parse_opb("* #variable= 3 #constraint= 0\nmin: +1 x1 ;\n")).values == (0.0, 3.0)
+    assert extract(parse_opb("* #variable= 3 #constraint= 0\nmin: +1 x1 ;\n"), "basic").values == (0.0, 3.0)
 
 
 def test_encode_timestep_index_encoding():
@@ -160,7 +164,7 @@ def test_encode_timestep_seconds_encoding():
 def test_full_and_names_line_up():
     # a model's input row: the schema's values, then the encoded timestep
     grid = make_grid(10, 100.0, 1.0)
-    row = extract_nonlinear(parse_opb(TOY)).values + (encode_timestep(3, grid),)
+    row = extract(parse_opb(TOY), "nonlinear").values + (encode_timestep(3, grid),)
     assert len(row) == len(feature_names("nonlinear")) == 15
     assert feature_names("nonlinear")[-1] == "timestep"
     assert feature_names("nonlinear", with_timestep=False) == SCHEMAS["nonlinear"]
@@ -170,7 +174,7 @@ def test_fraction_families_sum_to_one():
     rng = random.Random(33)
     for _ in range(300):
         inst = random_instance(rng, max_vars=50, max_degree=4)
-        v = extract_nonlinear(inst).values
+        v = extract(inst, "nonlinear").values
         if inst.constraints:
             assert math.isclose(sum(v[3:7]), 1.0, abs_tol=1e-9)
         assert math.isclose(sum(v[7:11]), 1.0, abs_tol=1e-9)  # objective is never empty here
@@ -190,13 +194,9 @@ def test_reordering_invariance():
         shuffled = parse_opb(
             opb_text(inst.objective, constraints, inst.num_variables, inst.declared_constraints)
         )
-        assert extract_nonlinear(shuffled).values == extract_nonlinear(inst).values
+        assert extract(shuffled, "nonlinear").values == extract(inst, "nonlinear").values
 
 
 def test_vector_schema_validation():
-    with pytest.raises(ValueError):
-        FeatureVector((1.0, 2.0, 3.0), "basic")
-    with pytest.raises(ValueError):
-        FeatureVector((1.0, 2.0), "mystery")
     with pytest.raises(ValueError):
         extract(parse_opb(TOY), "mystery")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbselect.dataset import NO_SOLUTION, TRAIN, build_dataset, split_by_benchmark
-from pbselect.features import encode_timestep, extract_basic, extract_nonlinear, feature_names
+from pbselect.features import encode_timestep, extract, feature_names
 from pbselect.grid import make_grid
 from pbselect.learners import INVERSE_FREQUENCY, TrainedModel, train_model
 from pbselect.learners.boosting import SingleClassError, fit_gradient_boosting
@@ -647,13 +647,13 @@ def test_trained_model_rejects_schema_mismatch(tmp_path):
     grid = make_grid(4, 100.0, 1.0)
     inst = parse_opb("* #variable= 2 #constraint= 1\nmin: +1 x1 ;\n+1 x1 >= 0 ;\n")
     timestep = (encode_timestep(1, grid),)
-    label, probs = tm.predict_values(extract_basic(inst).values + timestep)
+    label, probs = tm.predict_values(extract(inst, "basic").values + timestep)
     assert label in tm.vocabulary
     assert sum(probs.values()) == pytest.approx(1.0)
     with pytest.raises(SchemaMismatchError):
-        tm.predict_values(extract_nonlinear(inst).values + timestep)  # 15 wide
+        tm.predict_values(extract(inst, "nonlinear").values + timestep)  # 15 wide
     with pytest.raises(SchemaMismatchError):
-        tm.predict_values(extract_basic(inst).values)  # timestep missing
+        tm.predict_values(extract(inst, "basic").values)  # timestep missing
     with pytest.raises(SchemaMismatchError):
         tm.predict_batch(np.zeros((2, 7)))
 

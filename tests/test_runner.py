@@ -652,6 +652,42 @@ def test_trajectory_file_of_another_pair_is_refused(tmp_path):
         archive.read_trajectory("i2", "s")
 
 
+def _resume_over(tmp_path, text, sid):
+    """Run a one-solver portfolio (id ``sid``, which prints ``o 5``) over an
+    archive whose file of the pair holds ``text``; returns the archive."""
+    grid = make_grid(2, 1.0, 0.2)
+    paths = _instances(tmp_path, n=1)
+    archive = RunArchive(tmp_path / "arch", grid)
+    path = archive._pair_path(instance_id_for(paths[0], "benchX"), sid)
+    path.parent.mkdir()
+    path.write_text(text)
+    return run_portfolio(PortfolioConfig([SolverAdapter(sid, ("sh", "-c", "echo o 5"))]), paths, grid, archive.root)
+
+
+def test_resume_runs_a_pair_whose_file_holds_another_pair_again(tmp_path, caplog):
+    iid = "benchX__inst0"
+    held = trajectory_to_text(_traj(((0.1, 3),), solver="s,1", instance=iid), make_grid(2, 1.0, 0.2))
+    with caplog.at_level("WARNING"):
+        archive = _resume_over(tmp_path, held, "s_1")
+    assert f"running {iid}/s_1 again: trajectory file of {iid}/s_1 holds {iid}/s,1" in caplog.text
+    assert archive.read_trajectory(iid, "s_1").events[0][1] == 5
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "[]\nsampled NA NA\n",
+    "null\nsampled NA NA\n",
+    '{"solver": "s", "instance": "benchX__inst0"}\nsampled NA NA\n',
+], ids=["empty", "list", "null", "no-count"])
+def test_damaged_trajectory_file_is_a_value_error_and_runs_again(text, tmp_path, caplog):
+    with pytest.raises(ValueError, match="^trajectory file does not start with a metadata object$"):
+        trajectory_from_text(text)
+    with caplog.at_level("WARNING"):
+        archive = _resume_over(tmp_path, text, "s")
+    assert "running benchX__inst0/s again: trajectory file does not start" in caplog.text
+    assert archive.read_trajectory("benchX__inst0", "s").events[0][1] == 5
+
+
 def test_empty_portfolio_rejected(tmp_path):
     with pytest.raises(ValueError, match="portfolio has no solvers"):
         PortfolioConfig(adapters=[])
