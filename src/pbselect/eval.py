@@ -170,6 +170,7 @@ class EvalReport:
     accuracy: float
     confusion: np.ndarray  # rows: true label, columns: predicted
     breakdown: np.ndarray  # evaluated pairs; rows: the SBS's class, columns: the selector's
+    sbs_none_test_pairs: int  # every test pair where the SBS holds nothing, evaluated or not
     per_timestep: list[tuple[int, float | None, float | None]]
 
     def tables(self) -> dict[str, tuple[list[str], list]]:
@@ -181,7 +182,9 @@ class EvalReport:
         scalars = [("evaluated_pairs", self.n_pairs), ("test_rows", self.n_rows), ("sbs", self.sbs_id),
                    *((f"m[{sid}]", self.m_s[sid]) for sid in self.solver_order), ("m_vbs", self.m_vbs),
                    ("m_sbs", self.m_sbs), ("m_ms", self.m_ms), ("m_ms_overhead", self.m_ms_overhead),
-                   ("m_hat", self.m_hat), ("m_hat_overhead", self.m_hat_overhead), ("accuracy", self.accuracy)]
+                   ("m_hat", self.m_hat), ("m_hat_overhead", self.m_hat_overhead), ("accuracy", self.accuracy),
+                   ("sbs_none_pairs", int(self.breakdown[2].sum())), ("sbs_none_test_pairs", self.sbs_none_test_pairs),
+                   ("rescued_pairs", int(self.breakdown[2, :2].sum()))]  # the selector holds a value
         return {
             "summary": (["metric", "value"], scalars),
             "confusion": (["true\\predicted", *vocab],
@@ -276,6 +279,7 @@ def evaluate_selector(
         accuracy=accuracy,
         confusion=confusion,
         breakdown=breakdown_table(ctx.ranks[:, :, sbs_index][evaluated], policy_ranks[evaluated], best_ranks),
+        sbs_none_test_pairs=int((ctx.ranks[:, :, sbs_index] < 0).sum()),
         per_timestep=_per_timestep_series(
             evaluated, ctx.values[:, :, sbs_index], vbs_values, policy_values, overhead_values
         ),

@@ -39,8 +39,14 @@ values) computed once per fit:
 
 The threshold is the midpoint of the two values, or the lower value when
 the midpoint rounds up to the upper one (adjacent floats, or an overflowing
-sum), so ``x <= threshold`` always parts the rows as scored.  Rows are
-routed by comparing floats.
+sum), so ``x <= threshold`` always parts the rows as scored.
+
+A row's *cell code* on feature f is the number of the ensemble's split
+thresholds on f that lie below x_f (``searchsorted(T_f, x_f)`` on the
+sorted thresholds T_f), so x_f <= T_f[k] exactly when the code is <= k;
+NaN, which goes right at every split, sorts past every threshold.  Rows
+with equal codes on every feature reach the same leaves, so a batch is
+descended one row per distinct cell; a one-row batch is descended as is.
 
 A fitted ensemble is one :class:`TreeEnsemble`: node arrays holding every
 tree, where node i sends a row to ``left[i]`` when ``x[feature[i]] <=
@@ -275,12 +281,16 @@ class TreeEnsemble:
             level = level[self.feature[level] >= 0]
 
     def apply(self, X: np.ndarray, combine) -> np.ndarray:
-        """Descend every tree for every row of ``X``, a chunk of rows at a time.
+        """Descend every tree for one row of each threshold cell of ``X`` (a
+        one-row ``X`` is one cell), a chunk of rows at a time, and give each
+        row its cell's output.
 
         ``combine`` maps a chunk's (trees, rows, width) leaf values to its
-        (rows, k) outputs, which are stacked in row order.
+        (rows, k) outputs row by row, so rows of one cell get the same bits.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
+        first, inverse = self._cells(X) if len(X) > 1 else (slice(None), slice(None))
+        X = X[first]
         n, d = X.shape
         flat = X.ravel()
         chunk = max(1, _CHUNK_CELLS // max(1, len(self.roots)))
@@ -292,7 +302,23 @@ class TreeEnsemble:
                 go_left = flat.take(offset + self.feature.take(node)) <= self.threshold.take(node)
                 node = np.where(go_left, self.left.take(node), self.right.take(node))
             parts.append(combine(self.values[node]))
-        return np.concatenate(parts)
+        return np.concatenate(parts)[inverse]
+
+    def _cells(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One row of each distinct cell of ``X`` and each row's cell, by one mixed-radix key of its codes."""
+        inner = self.feature >= 0
+        feature, threshold = self.feature[inner], self.threshold[inner]
+        order = np.lexsort((threshold, feature))
+        used, starts = np.unique(feature[order], return_index=True)
+        key, span = np.zeros(len(X), dtype=np.int64), 1  # span: a bound on the keys, as a Python int
+        for f, T in zip(used.tolist(), np.split(threshold[order], starts[1:])):
+            if span * (len(T) + 1) >= 1 << 62:
+                key = np.unique(key, return_inverse=True)[1]
+                span = int(key.max()) + 1
+            key = key * (len(T) + 1) + np.searchsorted(T, X[:, f], side="left")
+            span *= len(T) + 1
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return first, inverse
 
 
 class _Tree:

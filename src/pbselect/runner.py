@@ -295,10 +295,10 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         raise ValueError("trajectory file does not start with a metadata object")
     if not lines[-1].startswith("sampled"):
         raise ValueError("trajectory file missing sampled record")
-    events = []
-    for line in lines[1:-1]:
-        t_str, v_str = line.split()
-        events.append((float(t_str), int(v_str)))
+    try:
+        events = [(float(t), int(v)) for t, v in map(str.split, lines[1:-1])]
+    except ValueError as exc:
+        raise ValueError(f"trajectory file holds a malformed event line ({exc})") from None
     width = len(lines[-1].split()) - 1
     if width != meta["count"]:
         raise ValueError(f"sampled record holds {width} values, expected {meta['count']}")
@@ -419,14 +419,14 @@ class RunArchive:
             self._pair_path(iid, sid, ".error").unlink(missing_ok=True)
 
     def read_trajectory(self, instance_id: str, solver_id: str) -> Trajectory:
-        text = self._pair_path(instance_id, solver_id).read_text()
-        traj, meta = trajectory_from_text(text)
+        try:  # a file that is not UTF-8 raises a ValueError too
+            traj, meta = trajectory_from_text(self._pair_path(instance_id, solver_id).read_text())
+        except ValueError as exc:
+            raise ValueError(f"{instance_id}/{solver_id}: {exc}") from None
         if (traj.instance_id, traj.solver_id) != (instance_id, solver_id):
             raise ValueError(f"trajectory file of {instance_id}/{solver_id} holds {traj.instance_id}/{traj.solver_id}")
         if {key: meta.get(key) for key in ("count", "horizon", "t_min")} != self.grid.params():
-            raise ValueError(
-                f"trajectory {instance_id}/{solver_id} was recorded on a different grid"
-            )
+            raise ValueError(f"trajectory {instance_id}/{solver_id} was recorded on a different grid")
         return traj
 
     def record_failure(self, instance_id: str, solver_id: str, message: str) -> None:
@@ -474,7 +474,7 @@ def run_portfolio(
             except FileNotFoundError:
                 jobs.append((adapter, path, iid))
             except ValueError as exc:
-                logger.warning("running %s/%s again: %s", iid, adapter.solver_id, exc)
+                logger.warning("running again: %s", exc)  # the message names the pair
                 jobs.append((adapter, path, iid))
 
     def _work(job):

@@ -175,7 +175,7 @@ def test_build_dataset_reports_a_damaged_trajectory_file(tmp_path, opb_file, cap
             "--out", str(tmp_path / "data.csv")]
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().err) == {
-        "error": "ValueError", "detail": "trajectory file does not start with a metadata object"
+        "error": "ValueError", "detail": f"{iid}/a: trajectory file does not start with a metadata object"
     }
 
 

@@ -398,6 +398,7 @@ def _oracle_report(archive, order, test, overheads):
         "series": series,
         "breakdown": joint,
         "margins": {"sbs": breakdown(policies[sbs]), "selector": breakdown(policies["plain"])},
+        "sbs_none_test_pairs": sum(value(iid, sbs, j) is None for iid in test for j in range(len(points))),
         "confusion": confusion,
     }
 
@@ -437,6 +438,8 @@ def _check_report(report, want, vocab):
         *((f"m[{sid}]", report.m_s[sid]) for sid in vocab[:-1]), ("m_vbs", report.m_vbs),
         ("m_sbs", report.m_sbs), ("m_ms", report.m_ms), ("m_ms_overhead", report.m_ms_overhead),
         ("m_hat", report.m_hat), ("m_hat_overhead", report.m_hat_overhead), ("accuracy", report.accuracy),
+        ("sbs_none_pairs", want["margins"]["sbs"][2]), ("sbs_none_test_pairs", want["sbs_none_test_pairs"]),
+        ("rescued_pairs", want["breakdown"][2][0] + want["breakdown"][2][1]),
     ])
     assert tables["confusion"] == (
         ["true\\predicted", *vocab], [[label, *counts] for label, counts in zip(vocab, want["confusion"])]
@@ -560,6 +563,10 @@ def test_breakdown_counts_pairs_where_the_sbs_has_no_solution(tmp_path):
     assert report.n_pairs == 11
     assert report.breakdown.tolist() == [[0, 4, 2], [0, 1, 0], [1, 1, 2]]
     assert report.tables()["breakdown"][1][2] == ["none", 1, 1, 2]
+    # the paper's count: of the 5 test pairs where A holds nothing (w at t = 1
+    # is not evaluated), the selector rescues 2
+    summary = dict(report.tables()["summary"][1])
+    assert (summary["sbs_none_pairs"], summary["sbs_none_test_pairs"], summary["rescued_pairs"]) == (4, 5, 2)
 
 
 def _split_corpus(root, grid, n_instances=40):

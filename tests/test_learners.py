@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbselect import metaselect
 from pbselect.dataset import NO_SOLUTION, TRAIN, build_dataset, split_by_benchmark
 from pbselect.features import encode_timestep, extract, feature_names
 from pbselect.grid import make_grid
@@ -564,6 +565,78 @@ def test_predict_values_is_batch_row(family, monkeypatch):
     monkeypatch.setattr(tree_mod, "_CHUNK_CELLS", 1)
     monkeypatch.setattr(knn_mod, "_CHUNK_CELLS", 1)
     assert tm.model.predict_proba(X).tobytes() == probs.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fit_inputs(), st.sampled_from(["rf", "gb"]))
+def test_batch_predict_on_aimed_rows_is_each_rows_own(inputs, family):
+    """Rows on every split threshold and one float either side of it,
+    repeated rows, NaN, +-inf and -0.0 in every column, and a column no tree
+    splits on (constant in the fit) each get the bits of their one-row batch."""
+    X, y, k, weight, max_features, max_depth, _, _ = inputs
+    X = np.hstack([X, np.zeros((len(X), 1))])
+    if family == "rf":
+        model = fit_random_forest(X, y, k, n_estimators=4, max_features=max_features, max_depth=max_depth,
+                                  class_weight=weight)
+    elif len(np.unique(y)) > 1:
+        model = fit_gradient_boosting(X, y, k, n_estimators=3, learning_rate=0.5, max_features=max_features,
+                                      max_depth=max_depth, class_weight=weight)
+    else:
+        return
+    trees, (n, d) = model.trees, X.shape
+    aimed = [(f, v) for f, t in zip(trees.feature.tolist(), trees.threshold.tolist()) if f >= 0
+             for v in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))]
+    A = np.array([X[i % n] for i in range(len(aimed))]).reshape(-1, d)
+    for i, (f, v) in enumerate(aimed):
+        A[i, f] = v
+    A[:, -1] = np.resize([-1.0, 0.0, 2.5, np.nan, np.inf], len(A))
+    special = np.array([X[i % n] for i in range(4 * d)]).reshape(-1, d)
+    special[np.arange(4 * d), np.arange(4 * d) // 4] = np.tile([np.nan, np.inf, -np.inf, -0.0], d)
+    A = np.vstack([A, special, A[::-1], special])
+    own = np.vstack([model.predict_proba(row[None]) for row in A])
+    assert model.predict_proba(A).tobytes() == own.tobytes()
+    with mock.patch.object(tree_mod, "_CHUNK_CELLS", 1):
+        assert model.predict_proba(A).tobytes() == own.tobytes()
+
+
+def test_batch_predict_compresses_a_key_wider_than_int64():
+    # 65 stumps, stump f splitting feature f at 0: the cell codes' key, one
+    # bit per feature, would lose feature 0's bit past 64 bits, and the two
+    # rows would share a cell
+    d = 65
+    f = np.arange(d)
+    nodes = 3 * f
+    feature = np.full(3 * d, -1)
+    feature[nodes] = f
+    left, right = np.arange(3 * d), np.arange(3 * d)
+    left[nodes], right[nodes] = nodes + 1, nodes + 2
+    values = np.zeros((3 * d, 2))
+    values[nodes + 1, 0] = values[nodes + 2, 1] = 1.0
+    model = ForestModel(TreeEnsemble(feature, np.zeros(3 * d), left, right, nodes, values, np.zeros((d, d))))
+    A = np.zeros((2, d))
+    A[1, 0] = 1.0
+    own = np.vstack([model.predict_proba(row[None]) for row in A])
+    assert own[0].tolist() != own[1].tolist()
+    assert model.predict_proba(A).tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("family", ["rf", "gb"])
+def test_one_row_batch_skips_the_cell_step(family, monkeypatch):
+    tm = _trained(family)
+    X = np.random.default_rng(5).normal(size=(25, 3))
+    probs = tm.model.predict_proba(X)
+
+    def cells(self, X):
+        raise AssertionError("a one-row batch reached the cell step")
+
+    monkeypatch.setattr(TreeEnsemble, "_cells", cells)
+    for i, row in enumerate(X):
+        assert list(tm.predict_values(tuple(row))[1].values()) == probs[i].tolist()
+    inst = parse_opb("* #variable= 2 #constraint= 1\nmin: +1 x1 ;\n+1 x1 >= 0 ;\n")
+    label, by_label = metaselect.choose_solver(tm, inst, 50.0)
+    assert label in tm.vocabulary and list(by_label) == tm.vocabulary
+    with pytest.raises(AssertionError, match="cell step"):
+        tm.model.predict_proba(X)
 
 
 @pytest.mark.parametrize("family", ["rf", "gb", "knn"])

@@ -669,23 +669,42 @@ def test_resume_runs_a_pair_whose_file_holds_another_pair_again(tmp_path, caplog
     held = trajectory_to_text(_traj(((0.1, 3),), solver="s,1", instance=iid), make_grid(2, 1.0, 0.2))
     with caplog.at_level("WARNING"):
         archive = _resume_over(tmp_path, held, "s_1")
-    assert f"running {iid}/s_1 again: trajectory file of {iid}/s_1 holds {iid}/s,1" in caplog.text
+    assert f"running again: trajectory file of {iid}/s_1 holds {iid}/s,1" in caplog.messages
     assert archive.read_trajectory(iid, "s_1").events[0][1] == 5
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "[]\nsampled NA NA\n",
-    "null\nsampled NA NA\n",
-    '{"solver": "s", "instance": "benchX__inst0"}\nsampled NA NA\n',
-], ids=["empty", "list", "null", "no-count"])
-def test_damaged_trajectory_file_is_a_value_error_and_runs_again(text, tmp_path, caplog):
-    with pytest.raises(ValueError, match="^trajectory file does not start with a metadata object$"):
+_NO_META = "trajectory file does not start with a metadata object"
+_META = json.dumps({"solver": "s", "instance": "benchX__inst0", "count": 2, "horizon": 1.0, "t_min": 0.2})
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("", _NO_META),
+    ("[]\nsampled NA NA\n", _NO_META),
+    ("null\nsampled NA NA\n", _NO_META),
+    ('{"solver": "s", "instance": "benchX__inst0"}\nsampled NA NA\n', _NO_META),
+    (_META + "\n", "trajectory file missing sampled record"),
+    (_META + "\nsampled NA\n", "sampled record holds 1 values, expected 2"),
+    (_META + "\n0.1\nsampled NA NA\n",
+     "trajectory file holds a malformed event line (not enough values to unpack (expected 2, got 1))"),
+    (_META + "\nsoon 3\nsampled NA NA\n",
+     "trajectory file holds a malformed event line (could not convert string to float: 'soon')"),
+], ids=["empty", "list", "null", "no-count", "no-sampled", "width", "event-fields", "event-time"])
+def test_damaged_trajectory_file_is_a_value_error_and_runs_again(text, reason, tmp_path, caplog):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
         trajectory_from_text(text)
     with caplog.at_level("WARNING"):
         archive = _resume_over(tmp_path, text, "s")
-    assert "running benchX__inst0/s again: trajectory file does not start" in caplog.text
+    # the warning names the pair once
+    assert [m for m in caplog.messages if "again" in m] == [f"running again: benchX__inst0/s: {reason}"]
     assert archive.read_trajectory("benchX__inst0", "s").events[0][1] == 5
+
+
+def test_trajectory_file_that_is_not_utf8_names_its_pair(tmp_path):
+    archive = RunArchive(tmp_path / "a", GRID2)
+    archive.write_trajectory(_traj(((0.5, 3),)))
+    archive._pair_path("i", "s").write_bytes(b"\xff\n")
+    with pytest.raises(ValueError, match=r"^i/s: .* codec can't decode byte 0xff"):
+        archive.read_trajectory("i", "s")
 
 
 def test_empty_portfolio_rejected(tmp_path):
